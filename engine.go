@@ -1190,42 +1190,56 @@ func (e *Engine) Stop() {
 }
 
 // tableOf converts an internal relation (user columns only; internal
-// columns are dropped) into a public Table.
+// columns are dropped) into a public Table. It is built a column at a
+// time from two slabs: one []Row whose rows are capacity-capped windows
+// of one []any cell slab, so a batch costs two allocations plus the
+// boxing of each cell value.
 func tableOf(rel *bat.Relation) Table {
-	var cols []string
-	var idx []int
-	for i, n := range rel.Names() {
+	names := rel.Names()
+	cols := make([]string, 0, len(names))
+	vecs := make([]*vector.Vector, 0, len(names))
+	for i, n := range names {
 		if n == basket.TimestampCol || strings.HasPrefix(n, "__") {
 			continue
 		}
 		cols = append(cols, n)
-		idx = append(idx, i)
+		vecs = append(vecs, rel.Col(i))
 	}
 	t := Table{Cols: cols}
-	for r := 0; r < rel.Len(); r++ {
-		row := make(Row, len(idx))
-		for j, i := range idx {
-			row[j] = goValue(rel.Col(i).Get(r))
+	n, w := rel.Len(), len(cols)
+	if n == 0 {
+		return t
+	}
+	t.Rows = make([]Row, n)
+	cells := make([]any, n*w)
+	for r := range t.Rows {
+		t.Rows[r] = cells[r*w : (r+1)*w : (r+1)*w]
+	}
+	for j, v := range vecs {
+		switch v.Kind() {
+		case vector.Int:
+			for r, x := range v.Ints() {
+				cells[r*w+j] = x
+			}
+		case vector.Float:
+			for r, x := range v.Floats() {
+				cells[r*w+j] = x
+			}
+		case vector.Bool:
+			for r, x := range v.Bools() {
+				cells[r*w+j] = x
+			}
+		case vector.Str:
+			for r, x := range v.Strs() {
+				cells[r*w+j] = x
+			}
+		case vector.Timestamp:
+			for r, x := range v.Ints() {
+				cells[r*w+j] = time.UnixMicro(x)
+			}
 		}
-		t.Rows = append(t.Rows, row)
 	}
 	return t
-}
-
-func goValue(v vector.Value) any {
-	switch v.Kind {
-	case vector.Int:
-		return v.I
-	case vector.Float:
-		return v.F
-	case vector.Bool:
-		return v.B
-	case vector.Str:
-		return v.S
-	case vector.Timestamp:
-		return time.UnixMicro(v.I)
-	}
-	return nil
 }
 
 func toValue(x any, t vector.Type) (vector.Value, error) {

@@ -476,6 +476,10 @@ func deleteSortedCounts(counts []int32, sel []int32) []int32 {
 	if len(counts) == 0 || len(sel) == 0 {
 		return counts
 	}
+	if lo, n := int(sel[0]), len(sel); int(sel[n-1])-lo == n-1 {
+		// One contiguous run: a single block move, as in the relation.
+		return counts[:lo+copy(counts[lo:], counts[lo+n:])]
+	}
 	w, di := 0, 0
 	for i := range counts {
 		if di < len(sel) && int(sel[di]) == i {

@@ -1,6 +1,7 @@
 package basket
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -299,6 +300,40 @@ func TestCoverCreditsUnionDelete(t *testing.T) {
 	snap := b.Snapshot()
 	if snap.Len() != 1 || snap.Col(0).Ints()[0] != 30 {
 		t.Errorf("residue: %v", snap.Col(0).Ints())
+	}
+}
+
+func TestDeleteSortedCountsRuns(t *testing.T) {
+	// naive keeps every credit whose position is not deleted.
+	naive := func(counts, sel []int32) []int32 {
+		out := []int32{}
+		for i, c := range counts {
+			if !slices.Contains(sel, int32(i)) {
+				out = append(out, c)
+			}
+		}
+		return out
+	}
+	cases := []struct {
+		name string
+		sel  []int32
+	}{
+		{"prefix", []int32{0, 1, 2, 3}},
+		{"middle", []int32{3, 4, 5}},
+		{"suffix", []int32{7, 8, 9}},
+		{"whole", []int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}},
+		{"single-first", []int32{0}},
+		{"single-middle", []int32{5}},
+		{"single-last", []int32{9}},
+		{"scattered", []int32{1, 4, 8}},
+		{"run-plus-straggler", []int32{2, 3, 4, 7}},
+	}
+	counts := []int32{100, 101, 102, 103, 104, 105, 106, 107, 108, 109}
+	for _, c := range cases {
+		want := naive(counts, c.sel)
+		if got := deleteSortedCounts(slices.Clone(counts), c.sel); !slices.Equal(got, want) {
+			t.Errorf("%s: %v, want %v", c.name, got, want)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package lroad
 import (
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // GenConfig parameterises the traffic generator.
@@ -53,7 +54,10 @@ type Generator struct {
 	now     int64
 	nextVID int64
 	nextQID int64
-	cars    map[int64]*car
+	// cars holds the active cars in vid order. Every pass over them draws
+	// from rng, so their order is part of what a seed determines: a slice,
+	// never a map.
+	cars []*car
 
 	accidents    []Accident // ground truth, in schedule order
 	nextAccCheck int64
@@ -70,9 +74,8 @@ func NewGenerator(cfg GenConfig) *Generator {
 		cfg.XWays = 1
 	}
 	return &Generator{
-		cfg:  cfg,
-		rng:  rand.New(rand.NewSource(cfg.Seed)),
-		cars: map[int64]*car{},
+		cfg: cfg,
+		rng: rand.New(rand.NewSource(cfg.Seed)),
 	}
 }
 
@@ -134,12 +137,8 @@ func (g *Generator) Tick() []Tuple {
 			}
 		}
 	}
-	// Remove cars that left the expressway.
-	for vid, c := range g.cars {
-		if c.pos >= NumSegs*SegFeet {
-			delete(g.cars, vid)
-		}
-	}
+	// Remove cars that left the expressway, keeping the rest in vid order.
+	g.cars = slices.DeleteFunc(g.cars, func(c *car) bool { return c.pos >= NumSegs*SegFeet })
 	g.TotalTuples += int64(len(out))
 	return out
 }
@@ -155,7 +154,7 @@ func (g *Generator) spawn(t int64) {
 		spd:   40 + g.rng.Int63n(60),
 		phase: g.rng.Int63n(ReportEvery),
 	}
-	g.cars[c.vid] = c
+	g.cars = append(g.cars, c) // vids ascend, so the slice stays sorted
 }
 
 func (g *Generator) advance(c *car, t int64) {

@@ -1,6 +1,9 @@
 package lroad
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"testing"
 	"time"
 
@@ -232,6 +235,35 @@ func TestGeneratorRampAndReports(t *testing.T) {
 	if g.TotalPos+g.TotalBalQ+g.TotalDayQ != g.TotalTuples {
 		t.Errorf("tuple accounting: %d+%d+%d != %d",
 			g.TotalPos, g.TotalBalQ, g.TotalDayQ, g.TotalTuples)
+	}
+}
+
+// genSHA hashes every tuple and the accident schedule of a generator's
+// first ticks.
+func genSHA(t *testing.T, cfg GenConfig, ticks int) string {
+	t.Helper()
+	g := NewGenerator(cfg)
+	h := sha256.New()
+	for i := 0; i < ticks; i++ {
+		if err := binary.Write(h, binary.LittleEndian, g.Tick()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := binary.Write(h, binary.LittleEndian, g.Accidents()); err != nil {
+		t.Fatal(err)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func TestGeneratorIsAFunctionOfItsSeed(t *testing.T) {
+	cfg := GenConfig{SF: 1, Duration: 10800, Seed: 11, XWays: 2}
+	a, b := genSHA(t, cfg, 600), genSHA(t, cfg, 600)
+	if a != b {
+		t.Fatalf("one seed, two streams: %s vs %s", a, b)
+	}
+	cfg.Seed++
+	if c := genSHA(t, cfg, 600); c == a {
+		t.Errorf("seeds %d and %d yield the same stream %s", cfg.Seed-1, cfg.Seed, a)
 	}
 }
 

@@ -51,7 +51,8 @@ func (e *Emitter) SubscribeWriter(w io.Writer) {
 }
 
 // Subscribe adds a callback client invoked with each drained batch. The
-// callback must not retain the relation.
+// callback must not retain the relation: once every client has seen it,
+// the emitter hands it back to the basket to receive the next results.
 func (e *Emitter) Subscribe(fn func(rel *bat.Relation)) {
 	e.mu.Lock()
 	e.funcs = append(e.funcs, fn)
@@ -71,15 +72,21 @@ func (e *Emitter) Start() {
 	go func() {
 		defer close(e.done)
 		nUser := len(firstOf(e.b.UserSchema()))
+		// Ping-pong: the relation delivered last time goes back into the
+		// basket as its emptied resident relation, so the factories
+		// appending results reuse its column capacity.
+		var spare *bat.Relation
 		for {
 			if err := e.b.WaitNotEmpty(1); err != nil {
 				return
 			}
-			rel := e.b.TakeAll()
-			if rel.Len() == 0 {
-				continue
+			e.b.Lock()
+			rel := e.b.ExchangeLocked(spare)
+			e.b.Unlock()
+			if rel.Len() > 0 {
+				e.deliver(rel, nUser)
 			}
-			e.deliver(rel, nUser)
+			spare = rel
 		}
 	}()
 }

@@ -617,6 +617,11 @@ func (v *Vector) DeleteSorted(del []int32) {
 }
 
 func deleteSorted[T any](s []T, del []int32) []T {
+	if lo, n := int(del[0]), len(del); int(del[n-1])-lo == n-1 {
+		// One contiguous run — FIFO consumption of the whole resident set
+		// is the common case — closes with a single block move.
+		return s[:lo+copy(s[lo:], s[lo+n:])]
+	}
 	w := int(del[0]) // first hole
 	d := 0
 	for r := int(del[0]); r < len(s); r++ {

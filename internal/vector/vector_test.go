@@ -3,6 +3,7 @@ package vector
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -176,23 +177,48 @@ func TestAppendVector(t *testing.T) {
 	}
 }
 
+// naiveDelete keeps every element whose position is not in del.
+func naiveDelete[T any](s []T, del []int32) []T {
+	out := []T{}
+	for i, x := range s {
+		if !slices.Contains(del, int32(i)) {
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
+// TestDeleteSorted checks position lists over ten elements against the
+// naive reference: contiguous runs, which take the one-move path, and
+// scattered lists, which do not.
 func TestDeleteSorted(t *testing.T) {
 	cases := []struct {
-		in   []int64
+		name string
 		del  []int32
-		want []int64
 	}{
-		{[]int64{1, 2, 3, 4, 5}, []int32{0, 2, 4}, []int64{2, 4}},
-		{[]int64{1, 2, 3}, []int32{}, []int64{1, 2, 3}},
-		{[]int64{1, 2, 3}, []int32{0, 1, 2}, []int64{}},
-		{[]int64{1, 2, 3}, []int32{2}, []int64{1, 2}},
-		{[]int64{1, 2, 3}, []int32{0}, []int64{2, 3}},
+		{"none", []int32{}},
+		{"prefix", []int32{0, 1, 2, 3}},
+		{"middle", []int32{3, 4, 5}},
+		{"suffix", []int32{7, 8, 9}},
+		{"whole", []int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}},
+		{"single-first", []int32{0}},
+		{"single-middle", []int32{5}},
+		{"single-last", []int32{9}},
+		{"scattered", []int32{1, 4, 8}},
+		{"alternate", []int32{0, 2, 4, 6, 8}},
+		{"run-plus-straggler", []int32{2, 3, 4, 7}},
 	}
+	ints := []int64{10, 11, 12, 13, 14, 15, 16, 17, 18, 19}
+	strs := []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j"}
 	for _, c := range cases {
-		v := FromInts(append([]int64(nil), c.in...))
-		v.DeleteSorted(c.del)
-		if !reflect.DeepEqual(v.Ints(), c.want) && !(len(v.Ints()) == 0 && len(c.want) == 0) {
-			t.Errorf("DeleteSorted(%v, %v) = %v, want %v", c.in, c.del, v.Ints(), c.want)
+		vi, vs := FromInts(slices.Clone(ints)), FromStrs(slices.Clone(strs))
+		vi.DeleteSorted(c.del)
+		vs.DeleteSorted(c.del)
+		if want := naiveDelete(ints, c.del); !slices.Equal(vi.Ints(), want) {
+			t.Errorf("%s: ints %v, want %v", c.name, vi.Ints(), want)
+		}
+		if want := naiveDelete(strs, c.del); !slices.Equal(vs.Strs(), want) {
+			t.Errorf("%s: strs %v, want %v", c.name, vs.Strs(), want)
 		}
 	}
 }

@@ -20,7 +20,10 @@ type Emit struct {
 	// Query is the continuous query that produced the batch.
 	Query string
 	// Table carries the result rows. It is shared by every subscription of
-	// the query and must not be mutated by the callback.
+	// the query and must not be mutated by the callback. One batch's rows
+	// share one backing array of cells: each Row is a capacity-capped
+	// window of it, so appending to a Row copies rather than overwriting
+	// its neighbour.
 	Table Table
 	// Seq numbers the batches one subscription receives, starting at 1.
 	// Gaps never occur; a new subscription starts its own numbering.
