@@ -703,11 +703,7 @@ func EvalSelectInto(e Expr, rel *bat.Relation, cand []int32, s *Scratch) ([]int3
 	case *Bin:
 		switch {
 		case n.Op == And:
-			l, err := EvalSelectInto(n.L, rel, cand, s)
-			if err != nil {
-				return nil, err
-			}
-			return EvalSelectInto(n.R, rel, l, s)
+			return evalAndInto(n, rel, cand, s)
 		case n.Op == Or:
 			l, err := EvalSelectInto(n.L, rel, cand, s)
 			if err != nil {
@@ -789,6 +785,83 @@ func EvalSelectInto(e Expr, rel *bat.Relation, cand []int32, s *Scratch) ([]int3
 	p := s.Sel()
 	*p = relop.SelectBoolInto(*p, v, cand)
 	return *p, nil
+}
+
+// conjunct is one operand of a flattened AND chain. When it compares an
+// Int or Timestamp column with a constant that relop.IntRange can lower,
+// col and [lo, hi] hold the column and the interval.
+type conjunct struct {
+	e      Expr
+	col    *vector.Vector
+	lo, hi int64
+}
+
+// evalAndInto selects a conjunction. Nested ANDs are flattened first. The
+// integer col-vs-const comparisons run first, one kernel pass per column:
+// every such comparison on one column is folded into the intersection of
+// their intervals. The remaining conjuncts then run in order, each on the
+// candidates of the one before.
+func evalAndInto(n *Bin, rel *bat.Relation, cand []int32, s *Scratch) ([]int32, error) {
+	var buf [8]conjunct
+	conj := appendConjuncts(buf[:0], n, rel)
+	sel := cand
+	for i, c := range conj {
+		if c.col == nil || fusedEarlier(conj[:i], c.col) {
+			continue
+		}
+		lo, hi := c.lo, c.hi
+		for _, d := range conj[i+1:] {
+			if d.col == c.col {
+				lo, hi = max(lo, d.lo), min(hi, d.hi)
+			}
+		}
+		if s == nil {
+			sel = relop.SelectIntRangeInto(nil, c.col.Ints(), lo, hi, sel)
+			continue
+		}
+		p := s.Sel()
+		*p = relop.SelectIntRangeInto(*p, c.col.Ints(), lo, hi, sel)
+		sel = *p
+	}
+	for _, c := range conj {
+		if c.col != nil {
+			continue
+		}
+		var err error
+		if sel, err = EvalSelectInto(c.e, rel, sel, s); err != nil {
+			return nil, err
+		}
+	}
+	return sel, nil
+}
+
+// appendConjuncts appends the operands of the AND tree e to dst, left to
+// right, classifying each integer col-vs-const comparison by its interval.
+func appendConjuncts(dst []conjunct, e Expr, rel *bat.Relation) []conjunct {
+	b, ok := e.(*Bin)
+	if ok && b.Op == And {
+		dst = appendConjuncts(dst, b.L, rel)
+		return appendConjuncts(dst, b.R, rel)
+	}
+	c := conjunct{e: e}
+	if ok && b.Op.IsCmp() {
+		if col, konst, op, ok := colConstCmp(b, rel); ok && isIntKind(col.Kind()) {
+			if lo, hi, ok := relop.IntRange(op, konst); ok {
+				c.col, c.lo, c.hi = col, lo, hi
+			}
+		}
+	}
+	return append(dst, c)
+}
+
+// fusedEarlier reports whether a conjunct in done already selected col.
+func fusedEarlier(done []conjunct, col *vector.Vector) bool {
+	for _, d := range done {
+		if d.col == col {
+			return true
+		}
+	}
+	return false
 }
 
 // colConstCmp recognises col-op-const and const-op-col comparisons so they

@@ -229,3 +229,20 @@ func SemiJoin(l, r *vector.Vector) []int32 {
 	}
 	return out
 }
+
+func intHolds(op CmpOp, a, b int64) bool {
+	switch op {
+	case EQ:
+		return a == b
+	case NE:
+		return a != b
+	case LT:
+		return a < b
+	case LE:
+		return a <= b
+	case GT:
+		return a > b
+	default:
+		return a >= b
+	}
+}

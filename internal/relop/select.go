@@ -7,6 +7,8 @@
 package relop
 
 import (
+	"math"
+
 	"datacell/internal/vector"
 )
 
@@ -89,25 +91,27 @@ func SelectPred(v *vector.Vector, op CmpOp, val vector.Value, cand []int32) []in
 // SelectPredInto is SelectPred appending into dst (overwritten from
 // length 0, capacity retained); it returns the possibly grown dst. dst
 // must not alias cand.
+//
+// Over an Int or Timestamp column every comparison IntRange can express
+// runs as one SelectIntRangeInto pass. What is left is NE, which keeps
+// an exact integer test, and a Float constant IntRange declines (NaN,
+// ±Inf, |c| ≥ 2^53), which compares each value as a float64, the way
+// the general expression evaluator does.
 func SelectPredInto(dst []int32, v *vector.Vector, op CmpOp, val vector.Value, cand []int32) []int32 {
 	out := dst[:0]
 	switch v.Kind() {
 	case vector.Int, vector.Timestamp:
-		x := val.AsInt()
 		s := v.Ints()
-		if cand == nil {
-			for i, e := range s {
-				if intHolds(op, e, x) {
-					out = append(out, int32(i))
-				}
-			}
-		} else {
-			for _, i := range cand {
-				if intHolds(op, s[i], x) {
-					out = append(out, i)
-				}
-			}
+		val = intOperand(val)
+		if lo, hi, ok := IntRange(op, val); ok {
+			return SelectIntRangeInto(dst, s, lo, hi, cand)
 		}
+		if val.Kind == vector.Float {
+			x := val.F
+			return selectIntsWhere(dst, s, cand, func(e int64) bool { return floatHolds(op, float64(e), x) })
+		}
+		x := val.I
+		return selectIntsWhere(dst, s, cand, func(e int64) bool { return e != x })
 	case vector.Float:
 		x := val.AsFloat()
 		s := v.Floats()
@@ -158,23 +162,6 @@ func SelectPredInto(dst []int32, v *vector.Vector, op CmpOp, val vector.Value, c
 	return out
 }
 
-func intHolds(op CmpOp, a, b int64) bool {
-	switch op {
-	case EQ:
-		return a == b
-	case NE:
-		return a != b
-	case LT:
-		return a < b
-	case LE:
-		return a <= b
-	case GT:
-		return a > b
-	default:
-		return a >= b
-	}
-}
-
 func floatHolds(op CmpOp, a, b float64) bool {
 	switch op {
 	case EQ:
@@ -214,6 +201,147 @@ func cmpStr(a, b string) int {
 	}
 }
 
+// IntRange lowers the comparison "v op val" over an integer column to the
+// closed interval [lo, hi] of the values v that satisfy it; lo > hi means
+// no value does. It handles EQ, LT, LE, GT and GE against an Int or
+// Timestamp constant, and against a finite Float constant with
+// |c| < 2^53, which maps exactly through floor and ceil (v >= 2.5 is
+// [3, MaxInt64]; v = 2.5 is empty). In that range float64 comparison,
+// which the general evaluator and Value.Compare use, agrees with integer
+// comparison for every int64 v. At 2^53 itself it does not (float64(2^53+1)
+// rounds to 2^53), so the bound is strict. NE, NaN, ±Inf, larger
+// constants and Str or Bool constants return ok=false.
+func IntRange(op CmpOp, val vector.Value) (lo, hi int64, ok bool) {
+	var x int64 // the constant, or its floor when it is not integral
+	frac := false
+	switch val.Kind {
+	case vector.Int, vector.Timestamp:
+		x = val.I
+	case vector.Float:
+		if !(math.Abs(val.F) < 1<<53) { // also rejects NaN
+			return 0, 0, false
+		}
+		f := math.Floor(val.F)
+		x, frac = int64(f), f != val.F
+	default:
+		return 0, 0, false
+	}
+	switch op {
+	case EQ:
+		if frac {
+			return 1, 0, true
+		}
+		return x, x, true
+	case LT:
+		if frac {
+			return math.MinInt64, x, true
+		}
+		if x == math.MinInt64 {
+			return 1, 0, true
+		}
+		return math.MinInt64, x - 1, true
+	case LE:
+		return math.MinInt64, x, true
+	case GT:
+		if x == math.MaxInt64 {
+			return 1, 0, true
+		}
+		return x + 1, math.MaxInt64, true
+	case GE:
+		if frac {
+			return x + 1, math.MaxInt64, true
+		}
+		return x, math.MaxInt64, true
+	}
+	return 0, 0, false
+}
+
+// SelectIntRangeInto writes into dst the positions of s (restricted to
+// cand when non-nil) whose value lies in the closed interval [lo, hi], in
+// ascending order, and returns the list. dst is grown only when its
+// capacity is short of len(s) (or len(cand)); it must not alias cand.
+//
+// One branch-free pass: each position is written unconditionally and the
+// write cursor advances by the outcome of a single unsigned compare,
+// uint64(e-lo) <= uint64(hi-lo), which holds exactly when lo <= e <= hi.
+// The cursor update compiles to a conditional move (CMOV on amd64), not
+// a jump, so the cost does not depend on selectivity. An empty interval
+// yields a non-nil empty list, since a nil list means "unrestricted" to
+// every consumer.
+func SelectIntRangeInto(dst []int32, s []int64, lo, hi int64, cand []int32) []int32 {
+	if lo > hi {
+		return selBuf(dst, 0)
+	}
+	w := uint64(hi) - uint64(lo)
+	if cand == nil {
+		out := selBuf(dst, len(s))
+		n := 0
+		for i, e := range s {
+			out[n] = int32(i)
+			if uint64(e)-uint64(lo) <= w {
+				n++
+			}
+		}
+		return out[:n]
+	}
+	out := selBuf(dst, len(cand))
+	n := 0
+	for _, i := range cand {
+		out[n] = i
+		if uint64(s[i])-uint64(lo) <= w {
+			n++
+		}
+	}
+	return out[:n]
+}
+
+// selectIntsWhere is the per-element fallback of the integer selections
+// for the comparisons IntRange cannot express: NE, and Float constants
+// outside its exact range.
+func selectIntsWhere(dst []int32, s []int64, cand []int32, keep func(int64) bool) []int32 {
+	if cand == nil {
+		out := selBuf(dst, len(s))
+		n := 0
+		for i, e := range s {
+			out[n] = int32(i)
+			if keep(e) {
+				n++
+			}
+		}
+		return out[:n]
+	}
+	out := selBuf(dst, len(cand))
+	n := 0
+	for _, i := range cand {
+		out[n] = i
+		if keep(s[i]) {
+			n++
+		}
+	}
+	return out[:n]
+}
+
+// selBuf returns dst resized to length n, reallocating only when its
+// capacity is short, and then at least doubling it as append would, so
+// a slowly growing input does not reallocate on every call. The result
+// is never nil.
+func selBuf(dst []int32, n int) []int32 {
+	if dst == nil || cap(dst) < n {
+		return make([]int32, n, max(n, 2*cap(dst)))
+	}
+	return dst[:n]
+}
+
+// intOperand is the constant an integer column is compared with. Str and
+// Bool constants keep the integer reading AsInt gives them; numeric
+// constants pass through for IntRange.
+func intOperand(val vector.Value) vector.Value {
+	if val.Kind == vector.Str || val.Kind == vector.Bool {
+		return vector.NewInt(val.AsInt())
+	}
+	return val
+}
+
 // SelectRange returns the positions whose value lies between lo and hi.
 // loIncl/hiIncl control bound inclusivity. This is the MonetDB
 // select(b, lo, hi) primitive used by the paper's example factory.
@@ -228,30 +356,24 @@ func SelectRangeInto(dst []int32, v *vector.Vector, lo, hi vector.Value, loIncl,
 	out := dst[:0]
 	switch v.Kind() {
 	case vector.Int, vector.Timestamp:
-		l, h := lo.AsInt(), hi.AsInt()
+		lo, hi = intOperand(lo), intOperand(hi)
+		loOp, hiOp := GT, LT
+		if loIncl {
+			loOp = GE
+		}
+		if hiIncl {
+			hiOp = LE
+		}
 		s := v.Ints()
-		test := func(e int64) bool {
-			if e < l || (e == l && !loIncl) {
-				return false
-			}
-			if e > h || (e == h && !hiIncl) {
-				return false
-			}
-			return true
+		l1, h1, ok1 := IntRange(loOp, lo)
+		l2, h2, ok2 := IntRange(hiOp, hi)
+		if ok1 && ok2 {
+			return SelectIntRangeInto(dst, s, max(l1, l2), min(h1, h2), cand)
 		}
-		if cand == nil {
-			for i, e := range s {
-				if test(e) {
-					out = append(out, int32(i))
-				}
-			}
-		} else {
-			for _, i := range cand {
-				if test(s[i]) {
-					out = append(out, i)
-				}
-			}
-		}
+		l, h := lo.AsFloat(), hi.AsFloat()
+		return selectIntsWhere(dst, s, cand, func(e int64) bool {
+			return floatHolds(loOp, float64(e), l) && floatHolds(hiOp, float64(e), h)
+		})
 	case vector.Float:
 		l, h := lo.AsFloat(), hi.AsFloat()
 		s := v.Floats()
