@@ -195,7 +195,7 @@ func BenchmarkAblationColumnBinding(b *testing.B) {
 	run := func(b *testing.B, width int) {
 		in := basket.New("bind.in", names[:width], typesOf(width))
 		out := basket.New("bind.out", names[:width], typesOf(width))
-		f := core.MustFactory("bind.q", []*basket.Basket{in}, []*basket.Basket{out},
+		f, err := core.NewFactory("bind.q", []*basket.Basket{in}, []*basket.Basket{out},
 			func(ctx *core.Context) error {
 				rel := ctx.In(0).TakeAllLocked()
 				sel := relop.SelectPred(rel.ColByName("a0"), relop.LT, vector.NewInt(100), nil)
@@ -206,6 +206,9 @@ func BenchmarkAblationColumnBinding(b *testing.B) {
 				}
 				return nil
 			})
+		if err != nil {
+			b.Fatal(err)
+		}
 		sub, err := full.Project(names[:width]...)
 		if err != nil {
 			b.Fatal(err)
@@ -250,7 +253,7 @@ func BenchmarkAblationPredicatePushdown(b *testing.B) {
 		expr.NewBin(expr.Lt, expr.NewCol("x"), expr.NewConst(vector.NewInt(200))))
 	b.Run("pushdown", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := expr.EvalSelect(pred, rel, nil); err != nil {
+			if _, err := expr.EvalSelectInto(pred, rel, nil, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -364,9 +364,6 @@ func (b *Basket) AppendedLocked() int64 { return b.appended }
 // shared-basket factories scan their input.
 func (b *Basket) RelLocked() *bat.Relation { return b.rel }
 
-// SeqbaseLocked returns the oid of the first resident tuple.
-func (b *Basket) SeqbaseLocked() bat.OID { return b.seqbase }
-
 // TakeAllLocked removes and returns every resident tuple. The returned
 // relation owns its columns.
 func (b *Basket) TakeAllLocked() *bat.Relation {
@@ -399,28 +396,6 @@ func (b *Basket) ExchangeLocked(spare *bat.Relation) *bat.Relation {
 	b.rel = spare
 	b.covers = b.covers[:0]
 	return out
-}
-
-// TakeLocked removes and returns the tuples at the given ascending
-// positions. The returned relation owns its columns.
-func (b *Basket) TakeLocked(sel []int32) *bat.Relation {
-	out := b.rel.Gather(sel)
-	b.rel.DeleteSorted(sel)
-	b.covers = deleteSortedCounts(b.covers, sel)
-	b.consumed += int64(len(sel))
-	return out
-}
-
-// TakeIntoLocked is TakeLocked gathering into dst (overwritten, capacity
-// retained) instead of a fresh relation: the allocation-free form for
-// factories that stage a window per firing and do not retain it. It
-// returns dst.
-func (b *Basket) TakeIntoLocked(dst *bat.Relation, sel []int32) *bat.Relation {
-	b.rel.GatherInto(dst, sel)
-	b.rel.DeleteSorted(sel)
-	b.covers = deleteSortedCounts(b.covers, sel)
-	b.consumed += int64(len(sel))
-	return dst
 }
 
 // DeleteLocked removes the tuples at the given ascending positions without

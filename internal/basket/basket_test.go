@@ -95,8 +95,8 @@ func TestTakeAllAndSeqbase(t *testing.T) {
 	b := newIntBasket("s")
 	b.Append(userRel(1, 2, 3))
 	b.Lock()
-	if b.SeqbaseLocked() != 0 {
-		t.Errorf("seqbase = %d", b.SeqbaseLocked())
+	if b.seqbase != 0 {
+		t.Errorf("seqbase = %d", b.seqbase)
 	}
 	got := b.TakeAllLocked()
 	if got.Len() != 3 {
@@ -105,8 +105,8 @@ func TestTakeAllAndSeqbase(t *testing.T) {
 	if b.LenLocked() != 0 {
 		t.Errorf("len after take = %d", b.LenLocked())
 	}
-	if b.SeqbaseLocked() != 3 {
-		t.Errorf("seqbase after take = %d", b.SeqbaseLocked())
+	if b.seqbase != 3 {
+		t.Errorf("seqbase after take = %d", b.seqbase)
 	}
 	b.Unlock()
 	if st := b.Stats(); st.Consumed != 3 {
@@ -118,14 +118,14 @@ func TestTakeAndDeleteSelected(t *testing.T) {
 	b := newIntBasket("s")
 	b.Append(userRel(10, 20, 30, 40))
 	b.Lock()
-	got := b.TakeLocked([]int32{1, 3})
+	b.DeleteLocked([]int32{1, 3})
 	b.Unlock()
-	if got.Col(0).Ints()[0] != 20 || got.Col(0).Ints()[1] != 40 {
-		t.Errorf("take sel: %v", got.Col(0).Ints())
-	}
 	snap := b.Snapshot()
-	if snap.Len() != 2 || snap.Col(0).Ints()[1] != 30 {
+	if snap.Len() != 2 || snap.Col(0).Ints()[0] != 10 || snap.Col(0).Ints()[1] != 30 {
 		t.Errorf("residue: %v", snap.Col(0).Ints())
+	}
+	if st := b.Stats(); st.Consumed != 2 {
+		t.Errorf("consumed = %d, want 2", st.Consumed)
 	}
 	b.Lock()
 	b.DeleteLocked([]int32{0})

@@ -212,17 +212,9 @@ func (pb *PartitionedBasket) CatchAll() *Basket { return pb.rest }
 
 // Destinations returns every basket a tuple can be routed to: the
 // partitions in order, then the catch-all when range routing is active.
-// Split's result is indexed the same way. Callers must not mutate the
+// Routing slots are indexed the same way. Callers must not mutate the
 // returned slice.
 func (pb *PartitionedBasket) Destinations() []*Basket { return pb.dests }
-
-// Router returns the routing decision of this partitioned basket, shared
-// with every path that appends into it.
-func (pb *PartitionedBasket) Router() *Router { return pb.router }
-
-// RangeSet returns the matching value domain of range routing (the zero
-// Set otherwise).
-func (pb *PartitionedBasket) RangeSet() interval.Set { return pb.router.RangeSet() }
 
 // Describe renders the routing for explain/monitoring output:
 // "round-robin", "hash(k)", "range(v)".
@@ -230,25 +222,6 @@ func (pb *PartitionedBasket) Describe() string { return pb.router.Describe() }
 
 // NumPartitions returns the partition count P.
 func (pb *PartitionedBasket) NumPartitions() int { return len(pb.parts) }
-
-// Mode returns the routing mode.
-func (pb *PartitionedBasket) Mode() PartitionMode { return pb.router.Mode() }
-
-// HashCol returns the hash routing column ("" under round-robin).
-func (pb *PartitionedBasket) HashCol() string { return pb.router.Col() }
-
-// Split computes the routing assignment of rel's tuples, returning one
-// ascending position list per destination basket (see Destinations; nil
-// for destinations that receive nothing). Under range routing the final
-// entry is the catch-all's. It advances the round-robin cursor but does
-// not touch the partition baskets.
-func (pb *PartitionedBasket) Split(rel *bat.Relation) ([][]int32, error) {
-	sels, err := pb.router.Route(rel)
-	if err != nil {
-		return nil, fmt.Errorf("basket: partitioned %s: %w", pb.name, err)
-	}
-	return sels, nil
-}
 
 // Append shards rel across the destinations through the public Basket
 // ingest API (locking, integrity constraints, arrival stamping and

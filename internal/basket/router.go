@@ -87,12 +87,6 @@ func NewRangeRouter(col string, p int, set interval.Set) (*Router, error) {
 	return r, nil
 }
 
-// Mode returns the routing mode.
-func (r *Router) Mode() PartitionMode { return r.mode }
-
-// Col returns the routing column ("" under round-robin).
-func (r *Router) Col() string { return r.col }
-
 // NumDestinations returns the number of routing slots: p scanned
 // destinations, plus one catch-all slot under range mode and pruned hash
 // mode.
@@ -102,10 +96,6 @@ func (r *Router) NumDestinations() int {
 	}
 	return r.p
 }
-
-// RangeSet returns the matching value domain of range routing (the zero
-// Set otherwise).
-func (r *Router) RangeSet() interval.Set { return r.set }
 
 // Describe renders the routing for explain/monitoring output:
 // "round-robin", "hash(k)", "range(v)".
@@ -122,19 +112,12 @@ func (r *Router) Describe() string {
 	return r.mode.String()
 }
 
-// Route computes the routing assignment of rel's tuples, returning one
-// ascending position list per destination slot (nil for slots that
-// receive nothing). Under range routing the final slot is the
+// RouteInto computes the routing assignment of rel's tuples into sels,
+// one ascending position list per destination slot (empty for slots that
+// receive nothing), reusing their capacity. sels must hold
+// NumDestinations lists; under range routing the final slot is the
 // catch-all's. It advances the round-robin cursor but does not touch any
-// basket.
-func (r *Router) Route(rel *bat.Relation) ([][]int32, error) {
-	sels := make([][]int32, r.NumDestinations())
-	return r.RouteInto(rel, sels)
-}
-
-// RouteInto is Route assigning into a caller-provided slice of
-// NumDestinations position lists, reusing their capacity (entries are
-// truncated, not reallocated, when possible). It returns sels.
+// basket, and returns sels.
 func (r *Router) RouteInto(rel *bat.Relation, sels [][]int32) ([][]int32, error) {
 	if len(sels) != r.NumDestinations() {
 		return nil, fmt.Errorf("basket: router: %d destination slots, want %d", len(sels), r.NumDestinations())

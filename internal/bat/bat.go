@@ -46,9 +46,6 @@ func (b *BAT) Pos(o OID) int {
 	return p
 }
 
-// OIDAt returns the oid of the tuple at tail position p.
-func (b *BAT) OIDAt(p int) OID { return b.Hseqbase + OID(p) }
-
 // Append appends a value, extending the dense head.
 func (b *BAT) Append(v vector.Value) { b.Tail.Append(v) }
 
@@ -198,15 +195,6 @@ func (r *Relation) CloneInto(dst *Relation) *Relation {
 	for i, c := range r.cols {
 		c.SliceInto(dst.cols[i], 0, c.Len())
 	}
-	return dst
-}
-
-// ConcatInto overwrites dst with the columns of a followed by the columns
-// of b (same tuple count), sharing the column vectors with a and b exactly
-// like Concat, but reusing dst's header slices. It returns dst.
-func ConcatInto(dst, a, b *Relation) *Relation {
-	dst.names = append(append(dst.names[:0], a.names...), b.names...)
-	dst.cols = append(append(dst.cols[:0], a.cols...), b.cols...)
 	return dst
 }
 

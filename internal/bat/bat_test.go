@@ -34,9 +34,6 @@ func TestBATBasics(t *testing.T) {
 	if p := b.Pos(105); p != -1 {
 		t.Errorf("Pos(105) = %d, want -1", p)
 	}
-	if o := b.OIDAt(3); o != 103 {
-		t.Errorf("OIDAt(3) = %d", o)
-	}
 	b.DeleteSorted([]int32{0, 1})
 	if b.Len() != 3 || b.Tail.Ints()[0] != 20 {
 		t.Errorf("after delete: %v", b.Tail.Ints())

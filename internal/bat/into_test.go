@@ -54,20 +54,6 @@ func TestRelationCloneInto(t *testing.T) {
 	}
 }
 
-func TestConcatInto(t *testing.T) {
-	a := NewRelation([]string{"a"}, []*vector.Vector{vector.FromInts([]int64{1, 2})})
-	b := NewRelation([]string{"b"}, []*vector.Vector{vector.FromStrs([]string{"x", "y"})})
-	dst := &Relation{}
-	got := ConcatInto(dst, a, b)
-	want := Concat(a, b)
-	if !reflect.DeepEqual(got.Names(), want.Names()) || got.NumCols() != want.NumCols() {
-		t.Fatalf("ConcatInto = %v, want %v", got, want)
-	}
-	if got.Col(0) != a.Col(0) || got.Col(1) != b.Col(0) {
-		t.Fatalf("ConcatInto must share columns, not copy")
-	}
-}
-
 func TestReshape(t *testing.T) {
 	r := &Relation{}
 	r.Reshape([]string{"A", "b"}, []vector.Type{vector.Int, vector.Str})

@@ -11,6 +11,15 @@ import (
 	"datacell/internal/vector"
 )
 
+// MustFactory is NewFactory that panics on error; for static test wiring.
+func MustFactory(name string, inputs, outputs []*basket.Basket, body Body) *Factory {
+	f, err := NewFactory(name, inputs, outputs, body)
+	if err != nil {
+		panic(err)
+	}
+	return f
+}
+
 func intBasket(name string) *basket.Basket {
 	return basket.New(name, []string{"x"}, []vector.Type{vector.Int})
 }
@@ -399,72 +408,6 @@ func TestPartialDeletesShrinkChain(t *testing.T) {
 	s.RunUntilQuiescent(0)
 	if secondSaw != 3 {
 		t.Errorf("second query saw %d tuples, want 3", secondSaw)
-	}
-}
-
-func TestMetronome(t *testing.T) {
-	b := basket.New("hb", []string{"tick"}, []vector.Type{vector.Timestamp})
-	m := NewMetronome(b, 5*time.Millisecond, nil)
-	m.Start()
-	defer m.Stop()
-	deadline := time.Now().Add(2 * time.Second)
-	for b.Len() < 3 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if b.Len() < 3 {
-		t.Errorf("ticks = %d", b.Len())
-	}
-	m.Stop() // idempotent with deferred Stop
-	n := b.Len()
-	time.Sleep(20 * time.Millisecond)
-	if b.Len() != n {
-		t.Error("metronome kept ticking after Stop")
-	}
-}
-
-func TestMetronomeManualTick(t *testing.T) {
-	b := basket.New("hb", []string{"tick"}, []vector.Type{vector.Timestamp})
-	m := NewMetronome(b, time.Hour, nil)
-	if err := m.Tick(time.Unix(5, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if b.Len() != 1 {
-		t.Errorf("len = %d", b.Len())
-	}
-}
-
-func TestHeartbeatFactory(t *testing.T) {
-	events := basket.New("ev", []string{"tag", "payload"}, []vector.Type{vector.Int, vector.Int})
-	hb := basket.New("hb", []string{"tag"}, []vector.Type{vector.Int})
-	out := basket.New("out", []string{"tag", "isevent"}, []vector.Type{vector.Int, vector.Bool})
-	f, err := NewHeartbeatFactory("hb", events, hb, out, "tag")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Heartbeat clock runs ahead: epochs 1..5 pre-filled.
-	for i := int64(1); i <= 5; i++ {
-		hb.AppendRow(vector.NewInt(i))
-	}
-	events.AppendRow(vector.NewInt(2), vector.NewInt(100))
-	events.AppendRow(vector.NewInt(4), vector.NewInt(200))
-	if fired, err := f.TryFire(); !fired || err != nil {
-		t.Fatalf("fired=%v err=%v", fired, err)
-	}
-	got := out.TakeAll()
-	// Epochs 1..4 from heartbeats, plus 2 events, in tag order.
-	tags := got.Col(0).Ints()
-	want := []int64{1, 2, 2, 3, 4, 4}
-	if len(tags) != len(want) {
-		t.Fatalf("merged = %v", tags)
-	}
-	for i := range want {
-		if tags[i] != want[i] {
-			t.Errorf("merged[%d] = %d, want %d", i, tags[i], want[i])
-		}
-	}
-	// Epoch 5 stays queued for the next window.
-	if hb.Len() != 1 {
-		t.Errorf("heartbeat residue = %d", hb.Len())
 	}
 }
 

@@ -128,23 +128,11 @@ func NewFactory(name string, inputs, outputs []*basket.Basket, body Body) (*Fact
 	return f, nil
 }
 
-// MustFactory is NewFactory that panics on error; for static wiring.
-func MustFactory(name string, inputs, outputs []*basket.Basket, body Body) *Factory {
-	f, err := NewFactory(name, inputs, outputs, body)
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
-
 // Name returns the factory name.
 func (f *Factory) Name() string { return f.name }
 
 // Inputs returns the input baskets.
 func (f *Factory) Inputs() []*basket.Basket { return f.inputs }
-
-// Outputs returns the output baskets.
-func (f *Factory) Outputs() []*basket.Basket { return f.outputs }
 
 // SetThreshold sets the firing threshold of input i to n tuples (n >= 1).
 // A factory with a threshold of n runs only after n tuples have been

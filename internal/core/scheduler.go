@@ -54,13 +54,6 @@ func (s *Scheduler) Register(f *Factory) error {
 	return nil
 }
 
-// Factories returns the registered factories.
-func (s *Scheduler) Factories() []*Factory {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]*Factory(nil), s.factories...)
-}
-
 func (s *Scheduler) notify(b *basket.Basket) {
 	s.mu.Lock()
 	fs := s.watchers[b]

@@ -111,7 +111,7 @@ func TestEvalSelectIntoMatchesEvalSelect(t *testing.T) {
 	sc := &Scratch{}
 	for _, p := range preds {
 		for _, cand := range cands {
-			want, werr := EvalSelect(p, rel, cand)
+			want, werr := EvalSelectInto(p, rel, cand, nil)
 			sc.Reset()
 			got, gerr := EvalSelectInto(p, rel, cand, sc)
 			if (werr == nil) != (gerr == nil) {

@@ -684,20 +684,14 @@ func evalBinaryMath(name string, l, r, o *vector.Vector) (*vector.Vector, error)
 	return o, nil
 }
 
-// EvalSelect evaluates a boolean expression as a candidate-list selection
-// over rel, restricted to cand (nil means all tuples). Conjunctions,
-// disjunctions and column-vs-constant comparisons are pushed down to the
-// kernel's selection primitives; anything else falls back to materialising
-// the boolean vector.
-func EvalSelect(e Expr, rel *bat.Relation, cand []int32) ([]int32, error) {
-	return EvalSelectInto(e, rel, cand, nil)
-}
-
-// EvalSelectInto is EvalSelect drawing every selection buffer and
-// expression temporary from s, so steady-state predicate evaluation
-// allocates nothing. The returned list is owned by s (valid until
-// s.Reset) unless it is cand itself. A nil s behaves exactly like
-// EvalSelect.
+// EvalSelectInto evaluates a boolean expression as a candidate-list
+// selection over rel, restricted to cand (nil means all tuples).
+// Conjunctions, disjunctions and column-vs-constant comparisons are pushed
+// down to the kernel's selection primitives; anything else falls back to
+// materialising the boolean vector. Every selection buffer and expression
+// temporary comes from s, so steady-state predicate evaluation allocates
+// nothing; the returned list is owned by s (valid until s.Reset) unless it
+// is cand itself. A nil s allocates fresh buffers instead.
 func EvalSelectInto(e Expr, rel *bat.Relation, cand []int32, s *Scratch) ([]int32, error) {
 	switch n := e.(type) {
 	case *Bin:

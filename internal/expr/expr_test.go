@@ -256,7 +256,7 @@ func TestNowInjection(t *testing.T) {
 func TestEvalSelectPushdown(t *testing.T) {
 	r := testRel()
 	// col-vs-const pushdown
-	sel, err := EvalSelect(NewBin(Gt, NewCol("a"), NewConst(vector.NewInt(2))), r, nil)
+	sel, err := EvalSelectInto(NewBin(Gt, NewCol("a"), NewConst(vector.NewInt(2))), r, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestEvalSelectPushdown(t *testing.T) {
 		t.Errorf("pushdown: %v", sel)
 	}
 	// const-vs-col flips
-	sel, err = EvalSelect(NewBin(Gt, NewConst(vector.NewInt(2)), NewCol("a")), r, nil)
+	sel, err = EvalSelectInto(NewBin(Gt, NewConst(vector.NewInt(2)), NewCol("a")), r, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestEvalSelectPushdown(t *testing.T) {
 	e := NewBin(And,
 		NewBin(Ge, NewCol("a"), NewConst(vector.NewInt(2))),
 		NewBin(Le, NewCol("b"), NewConst(vector.NewInt(30))))
-	sel, err = EvalSelect(e, r, nil)
+	sel, err = EvalSelectInto(e, r, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestEvalSelectPushdown(t *testing.T) {
 		t.Errorf("and: %v", sel)
 	}
 	// col-vs-col falls back to bool vector
-	sel, err = EvalSelect(NewBin(Lt, NewCol("a"), NewCol("b")), r, nil)
+	sel, err = EvalSelectInto(NewBin(Lt, NewCol("a"), NewCol("b")), r, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestEvalSelectPushdown(t *testing.T) {
 		t.Errorf("fallback: %v", sel)
 	}
 	// not
-	sel, err = EvalSelect(NewNot(NewBin(Gt, NewCol("a"), NewConst(vector.NewInt(2)))), r, nil)
+	sel, err = EvalSelectInto(NewNot(NewBin(Gt, NewCol("a"), NewConst(vector.NewInt(2)))), r, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestEvalSelectPushdown(t *testing.T) {
 		t.Errorf("not: %v", sel)
 	}
 	// negative constant folding through Neg
-	sel, err = EvalSelect(NewBin(Gt, NewCol("a"), NewNeg(NewConst(vector.NewInt(1)))), r, nil)
+	sel, err = EvalSelectInto(NewBin(Gt, NewCol("a"), NewNeg(NewConst(vector.NewInt(1)))), r, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,14 +310,14 @@ func TestEvalSelectPushdown(t *testing.T) {
 
 func TestEvalSelectBoolConst(t *testing.T) {
 	r := testRel()
-	sel, err := EvalSelect(NewConst(vector.NewBool(true)), r, nil)
+	sel, err := EvalSelectInto(NewConst(vector.NewBool(true)), r, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(sel) != 4 {
 		t.Errorf("true const: %v", sel)
 	}
-	sel, err = EvalSelect(NewConst(vector.NewBool(false)), r, nil)
+	sel, err = EvalSelectInto(NewConst(vector.NewBool(false)), r, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestEvalSelectBoolConst(t *testing.T) {
 
 func TestEvalSelectNonBoolError(t *testing.T) {
 	r := testRel()
-	if _, err := EvalSelect(NewCol("a"), r, nil); err == nil {
+	if _, err := EvalSelectInto(NewCol("a"), r, nil, nil); err == nil {
 		t.Error("non-bool predicate should fail")
 	}
 }
@@ -338,14 +338,14 @@ func TestPushdownEquivalenceProperty(t *testing.T) {
 	f := func(data []int64, threshold int64) bool {
 		r := bat.NewRelation([]string{"x"}, []*vector.Vector{vector.FromInts(data)})
 		e := NewBin(Lt, NewCol("x"), NewConst(vector.NewInt(threshold)))
-		fast, err := EvalSelect(e, r, nil)
+		fast, err := EvalSelectInto(e, r, nil, nil)
 		if err != nil {
 			return false
 		}
 		// Force the slow path by wrapping in an opaque comparison of
 		// col-vs-col shape: (x < t) = true
 		slowE := NewBin(Eq, e, NewConst(vector.NewBool(true)))
-		slow, err := EvalSelect(slowE, r, nil)
+		slow, err := EvalSelectInto(slowE, r, nil, nil)
 		if err != nil {
 			return false
 		}

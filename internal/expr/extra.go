@@ -143,7 +143,7 @@ func (n *Between) EvalInto(rel *bat.Relation, _ *vector.Vector, _ *Scratch) (*ve
 
 // pushdownInto lowers BETWEEN over a column with constant bounds into the
 // kernel's range selection, drawing the result buffer from s when given.
-// Used by EvalSelect.
+// Used by EvalSelectInto.
 func (n *Between) pushdownInto(rel *bat.Relation, cand []int32, s *Scratch) ([]int32, bool) {
 	col, ok := n.E.(*Col)
 	if !ok || n.Negate {

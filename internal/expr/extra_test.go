@@ -74,7 +74,7 @@ func TestBetweenPushdownMatchesEval(t *testing.T) {
 		}
 		r := bat.NewRelation([]string{"x"}, []*vector.Vector{vector.FromInts(data)})
 		e := NewBetween(NewCol("x"), NewConst(vector.NewInt(lo)), NewConst(vector.NewInt(hi)), false)
-		fast, err := EvalSelect(e, r, nil)
+		fast, err := EvalSelectInto(e, r, nil, nil)
 		if err != nil {
 			return false
 		}

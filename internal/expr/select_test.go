@@ -54,12 +54,12 @@ func TestEvalSelectMatchesEvalOnIntColumns(t *testing.T) {
 		t.Helper()
 		for _, c := range [][]int32{nil, cand} {
 			want := selectByEval(t, e, rel, c)
-			got, err := EvalSelect(e, rel, c)
+			got, err := EvalSelectInto(e, rel, c, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", e, err)
 			}
 			if got == nil || !reflect.DeepEqual(got, want) {
-				t.Errorf("EvalSelect(%s) cand %v = %#v, want %v", e, c, got, want)
+				t.Errorf("EvalSelectInto(%s) cand %v = %#v, want %v", e, c, got, want)
 			}
 		}
 	}
@@ -121,19 +121,19 @@ func TestEvalSelectFusesSameColumnConjuncts(t *testing.T) {
 			want := cd
 			for _, conj := range appendConjuncts(nil, c.e, rel) {
 				var err error
-				if want, err = EvalSelect(conj.e, rel, want); err != nil {
+				if want, err = EvalSelectInto(conj.e, rel, want, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
 			if eval := selectByEval(t, c.e, rel, cd); !reflect.DeepEqual(want, eval) {
 				t.Fatalf("%s: conjunct-by-conjunct %v disagrees with the evaluator %v", c.name, want, eval)
 			}
-			got, err := EvalSelect(c.e, rel, cd)
+			got, err := EvalSelectInto(c.e, rel, cd, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got == nil || !reflect.DeepEqual(got, want) {
-				t.Errorf("%s cand %v: EvalSelect = %#v, want %v", c.name, cd != nil, got, want)
+				t.Errorf("%s cand %v: EvalSelectInto = %#v, want %v", c.name, cd != nil, got, want)
 			}
 			sc := &Scratch{}
 			got, err = EvalSelectInto(c.e, rel, cd, sc)

@@ -323,9 +323,6 @@ func Listen(streamName, addr string, names []string, types []vector.Type, target
 	return g, nil
 }
 
-// Stream returns the stream name the group feeds.
-func (g *Group) Stream() string { return g.stream }
-
 // Addrs returns the bound listen address of every shard, in shard order
 // (repeated when shards share a socket).
 func (g *Group) Addrs() []string {

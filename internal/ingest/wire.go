@@ -181,21 +181,6 @@ func (bw *BatchWriter) WriteRow(vals ...vector.Value) error {
 	return nil
 }
 
-// WriteRelation appends the tuples of rel, flushing full batches.
-func (bw *BatchWriter) WriteRelation(rel *bat.Relation) error {
-	for i := 0; i < rel.Len(); i++ {
-		for c := 0; c < bw.rel.NumCols(); c++ {
-			bw.rel.Col(c).Append(rel.Col(c).Get(i))
-		}
-		if bw.rel.Len() >= bw.batch {
-			if err := bw.Flush(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // Flush writes the pending tuples (if any) as one frame.
 func (bw *BatchWriter) Flush() error {
 	if bw.rel.Len() == 0 {

@@ -108,8 +108,10 @@ func TestFrameMultipleFramesAccumulate(t *testing.T) {
 	src := allTypesRelation(true)
 	var buf bytes.Buffer
 	bw := NewBatchWriter(&buf, src.Names(), src.Types(), 10)
-	if err := bw.WriteRelation(src); err != nil {
-		t.Fatal(err)
+	for i := 0; i < src.Len(); i++ {
+		if err := bw.WriteRow(src.Row(i)...); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)

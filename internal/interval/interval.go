@@ -208,12 +208,6 @@ func mergeable(a, b Interval) bool {
 	return false
 }
 
-// Intervals returns the set's intervals in ascending order.
-func (s Set) Intervals() []Interval { return s.ivs }
-
-// Empty reports whether no value belongs to the set.
-func (s Set) Empty() bool { return len(s.ivs) == 0 }
-
 // All reports whether every value belongs to the set (one interval,
 // unbounded on both sides) — a vacuous constraint.
 func (s Set) All() bool {

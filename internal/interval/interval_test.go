@@ -17,7 +17,7 @@ func TestNewSetNormalizes(t *testing.T) {
 	}
 	// Empty intervals are dropped.
 	s = NewSet(Interval{Lo: Closed(vector.NewInt(5)), Hi: Open(vector.NewInt(5))})
-	if !s.Empty() {
+	if len(s.ivs) != 0 {
 		t.Fatalf("[5,5) should be empty, got %s", s)
 	}
 	// Touching with a closed side merges; double-open touching does not.
@@ -28,7 +28,7 @@ func TestNewSetNormalizes(t *testing.T) {
 	s = NewSet(
 		Interval{Lo: Closed(vector.NewInt(0)), Hi: Open(vector.NewInt(5))},
 		Interval{Lo: Open(vector.NewInt(5)), Hi: Closed(vector.NewInt(9))})
-	if got := len(s.Intervals()); got != 2 {
+	if got := len(s.ivs); got != 2 {
 		t.Fatalf("double-open touch merged: %s", s)
 	}
 }
@@ -67,7 +67,7 @@ func TestUnionIntersect(t *testing.T) {
 	if got := a.Intersect(b).String(); got != "[5,10) u [20,25)" {
 		t.Fatalf("intersect = %s", got)
 	}
-	if got := a.Intersect(NewSet(iv(100, 200))); !got.Empty() {
+	if got := a.Intersect(NewSet(iv(100, 200))); len(got.ivs) != 0 {
 		t.Fatalf("disjoint intersect = %s", got)
 	}
 	// Unbounded pieces.

@@ -43,9 +43,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // the hot path).
 func (c *Counter) Add(n int64) { c.v.Add(n) }
 
-// AddDuration adds a duration in nanoseconds — for *_seconds_total series.
-func (c *Counter) AddDuration(d time.Duration) { c.v.Add(int64(d)) }
-
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
@@ -57,16 +54,6 @@ func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
 // Add adds n.
 func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// SetMax raises the gauge to n if n is larger (high-water marks).
-func (g *Gauge) SetMax(n int64) {
-	for {
-		cur := g.v.Load()
-		if n <= cur || g.v.CompareAndSwap(cur, n) {
-			return
-		}
-	}
-}
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
@@ -92,7 +79,6 @@ const (
 	kindGauge
 	kindHistogram
 	kindCounterFunc
-	kindGaugeFunc
 )
 
 func (k kind) prom() string {
@@ -204,11 +190,6 @@ func (r *Registry) CounterFunc(name, help, labels string, fn func() int64) {
 	r.add(name, help, kindCounterFunc, &series{labels: labels, fn: fn})
 }
 
-// GaugeFunc registers a gauge computed at collection time.
-func (r *Registry) GaugeFunc(name, help, labels string, fn func() int64) {
-	r.add(name, help, kindGaugeFunc, &series{labels: labels, fn: fn})
-}
-
 // Unregister removes every series of the family that records through the
 // given handle (a *Counter, *Gauge or *Histogram previously returned by
 // this registry). Families left empty disappear from the output. It is
@@ -276,7 +257,7 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 				fmt.Fprintf(w, "%s%s %s\n", f.name, s.labels, formatValue(f.name, s.counter.Value()))
 			case kindGauge:
 				fmt.Fprintf(w, "%s%s %s\n", f.name, s.labels, formatValue(f.name, s.gauge.Value()))
-			case kindCounterFunc, kindGaugeFunc:
+			case kindCounterFunc:
 				fmt.Fprintf(w, "%s%s %s\n", f.name, s.labels, formatValue(f.name, s.fn()))
 			case kindHistogram:
 				WriteSummary(w, f.name, s.labels, &s.hist.H)
@@ -348,7 +329,7 @@ func (r *Registry) Samples() []Sample {
 				out = append(out, sampleOf(f.name, s.labels, s.counter.Value()))
 			case kindGauge:
 				out = append(out, sampleOf(f.name, s.labels, s.gauge.Value()))
-			case kindCounterFunc, kindGaugeFunc:
+			case kindCounterFunc:
 				out = append(out, sampleOf(f.name, s.labels, s.fn()))
 			case kindHistogram:
 				for _, hq := range histQuantiles {

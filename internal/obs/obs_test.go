@@ -18,7 +18,7 @@ func TestRecordPathAllocs(t *testing.T) {
 	if a := testing.AllocsPerRun(1000, func() { c.Add(3); c.Inc() }); a != 0 {
 		t.Fatalf("Counter record path allocates %.1f per run, want 0", a)
 	}
-	if a := testing.AllocsPerRun(1000, func() { g.Set(7); g.Add(-2); g.SetMax(9) }); a != 0 {
+	if a := testing.AllocsPerRun(1000, func() { g.Set(7); g.Add(-2) }); a != 0 {
 		t.Fatalf("Gauge record path allocates %.1f per run, want 0", a)
 	}
 	if a := testing.AllocsPerRun(1000, func() { h.Record(125 * time.Microsecond) }); a != 0 {
@@ -37,13 +37,8 @@ func TestCounterGaugeValues(t *testing.T) {
 	g := r.Gauge("g", "", "")
 	g.Set(10)
 	g.Add(-3)
-	g.SetMax(5) // below current: no-op
 	if g.Value() != 7 {
 		t.Fatalf("gauge = %d, want 7", g.Value())
-	}
-	g.SetMax(20)
-	if g.Value() != 20 {
-		t.Fatalf("gauge after SetMax = %d, want 20", g.Value())
 	}
 }
 
@@ -54,8 +49,8 @@ func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("datacell_frames_total", "frames accepted", Labels("stream", "s")).Add(41)
 	r.Counter("datacell_frames_total", "frames accepted", Labels("stream", "t")).Add(1)
-	r.Counter("datacell_busy_seconds_total", "busy time", "").AddDuration(1500 * time.Millisecond)
-	r.GaugeFunc("datacell_queries", "registered queries", "", func() int64 { return 3 })
+	r.Counter("datacell_busy_seconds_total", "busy time", "").Add(int64(1500 * time.Millisecond))
+	r.Gauge("datacell_queries", "registered queries", "").Set(3)
 	h := r.Histogram("datacell_latency_seconds", "ingest-to-emit", Labels("query", "q1"))
 	for i := 0; i < 100; i++ {
 		h.Record(time.Millisecond)

@@ -24,9 +24,6 @@ type Compiled struct {
 	Result *bat.Relation
 }
 
-// Continuous reports whether the statement compiled to a factory.
-func (c *Compiled) Continuous() bool { return c.Factory != nil }
-
 // Compile translates a parsed statement against the catalog. Continuous
 // queries (those containing basket expressions) become factories; create,
 // declare, set and one-time queries take effect immediately.

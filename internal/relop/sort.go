@@ -261,14 +261,3 @@ func IsSortedBy(keys []SortKey, lo, hi int) bool {
 	}
 	return true
 }
-
-// IsSorted reports whether v is non-decreasing; used by tests and the
-// heartbeat machinery.
-func IsSorted(v *vector.Vector) bool {
-	for i := 1; i < v.Len(); i++ {
-		if comparePos(v, i-1, i) > 0 {
-			return false
-		}
-	}
-	return true
-}

@@ -32,9 +32,6 @@ func NewEmitter(b *basket.Basket) *Emitter {
 	return &Emitter{b: b}
 }
 
-// Basket returns the source basket.
-func (e *Emitter) Basket() *basket.Basket { return e.b }
-
 // Delivered returns the number of tuples delivered so far.
 func (e *Emitter) Delivered() int64 { return e.delivered.Load() }
 

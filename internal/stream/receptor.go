@@ -3,7 +3,6 @@ package stream
 import (
 	"bufio"
 	"io"
-	"sync"
 	"sync/atomic"
 
 	"datacell/internal/basket"
@@ -24,19 +23,12 @@ type Receptor struct {
 
 	received atomic.Int64
 	invalid  atomic.Int64
-
-	mu      sync.Mutex
-	wg      sync.WaitGroup
-	started bool
 }
 
 // NewReceptor returns a receptor feeding basket b with batch size 64.
 func NewReceptor(b *basket.Basket) *Receptor {
 	return &Receptor{b: b, BatchSize: 64}
 }
-
-// Basket returns the destination basket.
-func (r *Receptor) Basket() *basket.Basket { return r.b }
 
 // Received returns the number of structurally valid tuples forwarded.
 func (r *Receptor) Received() int64 { return r.received.Load() }
@@ -45,8 +37,7 @@ func (r *Receptor) Received() int64 { return r.received.Load() }
 func (r *Receptor) Invalid() int64 { return r.invalid.Load() }
 
 // Listen consumes the textual tuple stream from rd until EOF (or basket
-// close) on the calling goroutine. Use Go to run it as the receptor
-// thread.
+// close) on the calling goroutine.
 func (r *Receptor) Listen(rd io.Reader) error {
 	names, types := r.b.UserSchema()
 	// One decode batch for the whole connection: the basket copies the
@@ -94,18 +85,3 @@ func (r *Receptor) Listen(rd io.Reader) error {
 	}
 	return sc.Err()
 }
-
-// Go runs Listen on a new goroutine.
-func (r *Receptor) Go(rd io.Reader) {
-	r.mu.Lock()
-	r.started = true
-	r.wg.Add(1)
-	r.mu.Unlock()
-	go func() {
-		defer r.wg.Done()
-		_ = r.Listen(rd)
-	}()
-}
-
-// Wait blocks until all Go-launched listeners have finished.
-func (r *Receptor) Wait() { r.wg.Wait() }

@@ -9,8 +9,8 @@ import (
 )
 
 // Replayer feeds a recorded tuple trace (one pipe-separated tuple per
-// line, as produced by cmd/lrgen or EncodeRelation) into an io.Writer —
-// typically a TCP connection to a receptor — optionally pacing tuples by a
+// line, as produced by cmd/lrgen or EncodeRelation) to an emitter —
+// typically a connection to a receptor — optionally pacing tuples by a
 // timestamp column, so a three-hour trace can be replayed at any speedup.
 // It is the sensor tool of the paper's experimental setup.
 type Replayer struct {
@@ -80,19 +80,6 @@ func (rp *Replayer) ReplayFunc(r io.Reader, emit func(line string) error, flush 
 		}
 	}
 	return sc.Err()
-}
-
-// Replay copies the trace from r to w, pacing by the timestamp column.
-func (rp *Replayer) Replay(r io.Reader, w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	return rp.ReplayFunc(r,
-		func(line string) error {
-			if _, err := bw.WriteString(line); err != nil {
-				return err
-			}
-			return bw.WriteByte('\n')
-		},
-		bw.Flush)
 }
 
 // fieldInt extracts the i-th pipe-separated field as an integer.

@@ -77,21 +77,6 @@ func TestReceptorValidatesAndBatches(t *testing.T) {
 	}
 }
 
-func TestReceptorGoWait(t *testing.T) {
-	b := twoColBasket("in")
-	r := NewReceptor(b)
-	pr, pw := net.Pipe()
-	r.Go(pr)
-	go func() {
-		fmt.Fprintf(pw, "1|10\n2|20\n")
-		pw.Close()
-	}()
-	r.Wait()
-	if b.Len() != 2 {
-		t.Errorf("basket = %d", b.Len())
-	}
-}
-
 func TestEmitterDeliversToWriterAndCallback(t *testing.T) {
 	b := twoColBasket("out")
 	e := NewEmitter(b)
@@ -189,13 +174,21 @@ func TestTCPPipelineSensorToActuator(t *testing.T) {
 	te.Close()
 }
 
+// replayTo copies trace to w through rp, one line per emitted tuple.
+func replayTo(rp *Replayer, trace string, w *bytes.Buffer) error {
+	return rp.ReplayFunc(strings.NewReader(trace), func(line string) error {
+		w.WriteString(line)
+		return w.WriteByte('\n')
+	}, nil)
+}
+
 func TestReplayerPacing(t *testing.T) {
 	trace := "0|a\n0|b\n2|c\n5|d\n"
 	var slept []time.Duration
 	rp := NewReplayer(0, 1)
 	rp.Sleep = func(d time.Duration) { slept = append(slept, d) }
 	var out bytes.Buffer
-	if err := rp.Replay(strings.NewReader(trace), &out); err != nil {
+	if err := replayTo(rp, trace, &out); err != nil {
 		t.Fatal(err)
 	}
 	if rp.Lines != 4 {
@@ -216,7 +209,7 @@ func TestReplayerSpeedupAndNoPacing(t *testing.T) {
 	rp := NewReplayer(0, 5)
 	rp.Sleep = func(d time.Duration) { slept = append(slept, d) }
 	var out bytes.Buffer
-	if err := rp.Replay(strings.NewReader(trace), &out); err != nil {
+	if err := replayTo(rp, trace, &out); err != nil {
 		t.Fatal(err)
 	}
 	if len(slept) != 1 || slept[0] != 2*time.Second {
@@ -226,7 +219,7 @@ func TestReplayerSpeedupAndNoPacing(t *testing.T) {
 	slept = nil
 	rp2 := NewReplayer(-1, 1)
 	rp2.Sleep = func(d time.Duration) { slept = append(slept, d) }
-	if err := rp2.Replay(strings.NewReader(trace), &out); err != nil {
+	if err := replayTo(rp2, trace, &out); err != nil {
 		t.Fatal(err)
 	}
 	if len(slept) != 0 {

@@ -657,20 +657,6 @@ func keepSorted[T any](s []T, keep []int32) []T {
 	return s[:len(keep)]
 }
 
-// DropHead removes the first n elements, shifting the remainder left.
-func (v *Vector) DropHead(n int) {
-	switch v.kind {
-	case Int, Timestamp:
-		v.ints = append(v.ints[:0], v.ints[n:]...)
-	case Float:
-		v.floats = append(v.floats[:0], v.floats[n:]...)
-	case Bool:
-		v.bools = append(v.bools[:0], v.bools[n:]...)
-	case Str:
-		v.strs = append(v.strs[:0], v.strs[n:]...)
-	}
-}
-
 // String renders a short debug representation.
 func (v *Vector) String() string {
 	n := v.Len()

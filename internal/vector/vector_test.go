@@ -231,14 +231,6 @@ func TestKeepSorted(t *testing.T) {
 	}
 }
 
-func TestDropHead(t *testing.T) {
-	v := FromFloats([]float64{1, 2, 3, 4})
-	v.DropHead(2)
-	if !reflect.DeepEqual(v.Floats(), []float64{3, 4}) {
-		t.Errorf("DropHead = %v", v.Floats())
-	}
-}
-
 // Property: DeleteSorted(del) followed by nothing equals KeepSorted of the
 // complement, for random delete sets.
 func TestDeleteKeepComplementProperty(t *testing.T) {

@@ -479,9 +479,6 @@ func (l *Log) Stats() Stats {
 	return l.stats
 }
 
-// Dir returns the log's directory.
-func (l *Log) Dir() string { return l.dir }
-
 // Prune deletes whole segments every frame of which has sequence number
 // ≤ upTo, never touching the current segment. History readers
 // (LineSource) lose access to pruned frames, so the engine does not prune
