@@ -25,10 +25,12 @@ type AggResult struct {
 // RunAgg measures two-phase partitioned aggregation end to end: q grouped
 // queries rotating through sum/avg/min/max/count over hash(k) wiring,
 // plus one global aggregate that round-robins, all fed a uniform integer
-// stream at the given strategy and parallelism. At P>1 every query runs
-// as per-partition partial aggregates folded by a combining merge
-// emitter; the sweep's P=1 column is the single-pass baseline the
-// differential tests hold the partitioned runs to.
+// stream at the given strategy and parallelism. At P>1 the grouped
+// queries' per-partition groups are final (hash co-location) and
+// concatenate, while the global aggregate runs as per-partition partial
+// aggregates folded by a combining merge emitter; the sweep's P=1 column
+// is the single-pass baseline the differential tests hold the
+// partitioned runs to.
 func RunAgg(strategy Strategy, parallelism, q, tuples, batch int, seed int64) (AggResult, error) {
 	if q < 1 {
 		return AggResult{}, fmt.Errorf("datacell: agg run needs at least 1 query, got %d", q)

@@ -323,9 +323,10 @@ func figPrune(tuples int, seed int64, jsonOut bool) error {
 }
 
 // figAgg sweeps two-phase partitioned aggregation: grouped and global
-// aggregate queries at P ∈ {1, 2, 4, 8} per sharing strategy. At P>1 every
-// query runs as per-partition partial aggregates folded by a combining
-// merge emitter; the events/s floor of the best column is what the CI gate
+// aggregate queries at P ∈ {1, 2, 4, 8} per sharing strategy. At P>1 the
+// hash-routed grouped queries concatenate their final per-partition groups
+// and the global aggregate is folded by a combining merge emitter (see
+// RunAgg); the events/s floor of the best column is what the CI gate
 // guards in BENCH_agg.json.
 func figAgg(tuples int, seed int64, jsonOut bool) error {
 	type row struct {

@@ -975,9 +975,12 @@ func (l *IngestListener) Stats() []IngestStats {
 }
 
 // Close stops the listener's shards and connections and detaches it
-// from the stream's group, so Groups()/Explain stop reporting it.
+// from the stream's group, so Groups()/Explain stop reporting it. It
+// detaches only once its shards have stopped delivering, so a WAL
+// checkpoint quiesces its target for as long as it can deliver.
 // Idempotent.
 func (l *IngestListener) Close() {
+	l.g.Close()
 	l.eng.mu.Lock()
 	if g := l.eng.groups[l.stream]; g != nil {
 		for i, o := range g.listeners {
@@ -988,7 +991,6 @@ func (l *IngestListener) Close() {
 		}
 	}
 	l.eng.mu.Unlock()
-	l.g.Close()
 }
 
 // ListenIngest attaches a sharded ingest group to a stream: every
@@ -1025,7 +1027,10 @@ func (e *Engine) ListenIngest(streamName, addr string, o IngestOptions) (*Ingest
 		}
 		blog = lg
 	}
-	e.mu.Unlock()
+	// The listener joins the group under the same hold of e.mu that
+	// starts it, so a WAL checkpoint quiescing the group's ingest
+	// (quiesceIngestLocked) sees every target that can deliver.
+	defer e.mu.Unlock()
 	names, types := b.UserSchema()
 	ig, err := ingest.Listen(streamName, addr, names, types, tgt, ingest.Options{
 		Shards:      o.Shards,
@@ -1039,9 +1044,7 @@ func (e *Engine) ListenIngest(streamName, addr string, o IngestOptions) (*Ingest
 		return nil, err
 	}
 	l := &IngestListener{eng: e, stream: streamName, g: ig, tgt: tgt}
-	e.mu.Lock()
 	g.listeners = append(g.listeners, l)
-	e.mu.Unlock()
 	return l, nil
 }
 

@@ -2,12 +2,16 @@ package datacell
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"datacell/internal/lroad"
+	"datacell/internal/plan"
+	"datacell/internal/sql"
 )
 
 // aggWorkload feeds a randomized stream through an aggregation-heavy
@@ -111,6 +115,66 @@ func TestAggregationDifferential(t *testing.T) {
 	}
 }
 
+// TestFloatKeyHashDifferential asserts hash routing co-locates every
+// float key that grouping counts as one: all NaN payloads form one group,
+// and so do -0 and +0. A hash-routed GROUP BY with no ORDER BY or TOP
+// concatenates its partitions' groups, so a NaN payload routed apart from
+// another would surface as a second NaN group at P>1.
+func TestFloatKeyHashDifferential(t *testing.T) {
+	keys := []float64{math.NaN(), 0, math.Copysign(0, -1), 1.5, math.Inf(1)}
+	for p := uint64(2); p < 10; p++ {
+		keys = append(keys, math.Float64frombits(0x7ff8000000000000|p))
+	}
+	run := func(strategy Strategy, parallelism int) []string {
+		eng := New()
+		if err := eng.SetStrategy(strategy); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.SetParallelism(parallelism); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Exec(`create basket s (f float, v int)`); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.RegisterQuery("q", `select t.f, count(*) as n, sum(t.v) as sv from [select * from s] t group by t.f`); err != nil {
+			t.Fatal(err)
+		}
+		var rows []Row
+		for i := 0; i < 3; i++ {
+			for j, f := range keys {
+				rows = append(rows, Row{f, int64(10*i + j)})
+			}
+		}
+		if err := eng.Append("s", rows...); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.RunSync(); err != nil {
+			t.Fatal(err)
+		}
+		out, err := eng.Out("q")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, r := range tableOf(out.Snapshot()).Rows {
+			got = append(got, fmt.Sprint(r...))
+		}
+		sort.Strings(got)
+		return got
+	}
+	for _, strategy := range []Strategy{StrategySeparate, StrategyShared, StrategyPartial} {
+		want := run(strategy, 1)
+		if len(want) != 4 {
+			t.Fatalf("%s: P=1 produced %d groups %q, want 4 (NaN, 0, 1.5, +Inf)", strategy, len(want), want)
+		}
+		for _, p := range []int{2, 4} {
+			if got := run(strategy, p); !slices.Equal(got, want) {
+				t.Errorf("%s: P=%d groups %q, P=1 groups %q", strategy, p, got, want)
+			}
+		}
+	}
+}
+
 // TestHashPruneRouting asserts a grouped plan with a sargable side
 // predicate wires hash routing with a prune catch-all: tuples failing the
 // necessary condition divert before any partial-aggregate clone copies
@@ -185,16 +249,31 @@ func TestExplainTwoPhase(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := []struct {
-		sql  string
-		want []string
+		sql    string
+		want   []string
+		absent []string
 	}{
 		{
+			// Hash routing co-locates each group: per-partition results
+			// are final and concatenate.
 			`select t.k, avg(t.v) as a from [select * from s where v < 100] t group by t.k`,
 			[]string{
-				"two-phase: partial aggregate per partition + combining merge",
-				"combining merge emitter",
+				"partitionable: hash(k)",
+				"concatenating merge: each group lives on one partition",
+				"(splitter, 4 clones, merge emitter)",
 				"prune: v in",
 			},
+			[]string{"two-phase", "combining merge"},
+		},
+		{
+			// An ORDER BY over the groups still needs the combining merge.
+			`select t.k, sum(t.v) as n from [select * from s] t group by t.k order by t.k`,
+			[]string{
+				"partitionable: hash(k)",
+				"two-phase: partial aggregate per partition + combining merge",
+				"combining merge emitter",
+			},
+			nil,
 		},
 		{
 			`select count(*) as n from [select * from s] t`,
@@ -203,6 +282,7 @@ func TestExplainTwoPhase(t *testing.T) {
 				"two-phase: partial aggregate per partition + combining merge",
 				"combining merge emitter",
 			},
+			nil,
 		},
 		{
 			`select top 5 t.v from [select * from s] t order by t.v`,
@@ -210,9 +290,10 @@ func TestExplainTwoPhase(t *testing.T) {
 				"two-phase: partial sort per partition + k-way combining merge",
 				"combining merge emitter",
 			},
+			nil,
 		},
 	}
-	for _, c := range cases {
+	for i, c := range cases {
 		got, err := eng.Explain(c.sql)
 		if err != nil {
 			t.Fatalf("%s: %v", c.sql, err)
@@ -221,6 +302,23 @@ func TestExplainTwoPhase(t *testing.T) {
 			if !strings.Contains(got, w) {
 				t.Errorf("%s:\nexplain lacks %q:\n%s", c.sql, w, got)
 			}
+		}
+		for _, w := range c.absent {
+			if strings.Contains(got, w) {
+				t.Errorf("%s:\nexplain has %q:\n%s", c.sql, w, got)
+			}
+		}
+		stmt, err := sql.ParseOne(c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := plan.Analyze(eng.cat, stmt, fmt.Sprintf("probe%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wired := a.Scan.Combine != nil
+		if tp := plan.TwoPhase(eng.cat, stmt); tp != wired || wired != (len(c.absent) == 0) {
+			t.Errorf("%s: plan.TwoPhase = %v, wired Combine = %v, explain two-phase = %v", c.sql, tp, wired, len(c.absent) == 0)
 		}
 	}
 }

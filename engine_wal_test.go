@@ -405,6 +405,152 @@ func TestWALCheckpointOnCleanStop(t *testing.T) {
 	}
 }
 
+// TestWALCheckpointKeepsResidentTuples pins that a checkpoint never
+// covers tuples a window still holds: five tuples wait in a TOP 10 window
+// at a Drain, the engine is killed, and after Recover five more tuples
+// must complete the window, under the shared wiring (the tuples wait in
+// the stream basket) and the separate one (they wait in the query's
+// private replica).
+func TestWALCheckpointKeepsResidentTuples(t *testing.T) {
+	const window = `select t.k, t.v from [select top 10 * from s] t`
+	build := func(strategy Strategy) *Engine {
+		eng := New()
+		if err := eng.SetStrategy(strategy); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Exec(`create basket s (k int, v int)`); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.RegisterQuery("win", window); err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	for _, strategy := range []Strategy{StrategyShared, StrategySeparate} {
+		t.Run(string(strategy), func(t *testing.T) {
+			dir := t.TempDir()
+			eng := build(strategy)
+			if err := eng.OpenWAL(WALOptions{Dir: dir}); err != nil {
+				t.Fatal(err)
+			}
+			l, err := eng.ListenIngest("s", "127.0.0.1:0", IngestOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Start(); err != nil {
+				t.Fatal(err)
+			}
+			conn, err := net.Dial("tcp", l.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 5; i++ {
+				fmt.Fprintf(conn, "%d|%d\n", i, i)
+			}
+			conn.Close()
+			waitIngested(t, eng, "s", 5)
+			if !eng.Drain(10 * time.Second) {
+				t.Fatal("engine did not drain")
+			}
+			eng.Kill()
+
+			eng2 := build(strategy)
+			defer eng2.Stop()
+			if err := eng2.OpenWAL(WALOptions{Dir: dir}); err != nil {
+				t.Fatal(err)
+			}
+			rec, err := eng2.Recover()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.Tuples != 5 {
+				t.Errorf("Recover replayed %d tuples, want the 5 the window held", rec.Tuples)
+			}
+			for i := 5; i < 10; i++ {
+				if err := eng2.Append("s", Row{int64(i), int64(i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := eng2.RunSync(); err != nil {
+				t.Fatal(err)
+			}
+			out, err := eng2.Out("win")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := out.Len(); n != 10 {
+				t.Fatalf("window emitted %d rows after recovery, want 10", n)
+			}
+		})
+	}
+}
+
+// TestWALCheckpointWaitsForInFlightDelivery pins that a checkpoint never
+// covers a frame a receptor has logged but not yet routed: with a
+// delivery held between its log write and its basket append, the
+// checkpoint must wait for it and then find the tuple resident, so a
+// crash after it still replays the frame.
+func TestWALCheckpointWaitsForInFlightDelivery(t *testing.T) {
+	build := func() *Engine {
+		eng := New()
+		if _, err := eng.Exec(`create basket s (k int, v int)`); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.RegisterQuery("win", `select t.k, t.v from [select top 10 * from s] t`); err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	dir := t.TempDir()
+	eng := build()
+	if err := eng.OpenWAL(WALOptions{Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.ListenIngest("s", "127.0.0.1:0", IngestOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	eng.mu.Lock()
+	tgt, lg := eng.groups["s"].target(), eng.wal.logs["s"]
+	eng.mu.Unlock()
+	names, types := eng.cat.Basket("s").UserSchema()
+	rel := bat.NewEmptyRelation(names, types)
+	rel.AppendRow(vector.NewInt(1), vector.NewInt(1))
+
+	// The delivery path of a receptor, stopped between log and append.
+	sink, release := tgt.Acquire()
+	if _, err := lg.LogBatch(rel); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		eng.checkpointWAL(false)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(50 * time.Millisecond):
+	}
+	if _, err := sink.Append(rel); err != nil {
+		t.Fatal(err)
+	}
+	release()
+	<-done
+	eng.Kill()
+
+	eng2 := build()
+	defer eng2.Stop()
+	if err := eng2.OpenWAL(WALOptions{Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := eng2.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Frames != 1 {
+		t.Fatalf("Recover replayed %d frames, want the 1 the checkpoint must not cover", rec.Frames)
+	}
+}
+
 // TestWALHistoryLateJoin pins the WAL-backed replay source: a
 // late-registered reader gets the stream's full logged history back as
 // the textual lines a stream.Replayer consumes.

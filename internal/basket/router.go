@@ -215,9 +215,14 @@ func hashValue(v *vector.Vector, i int) uint64 {
 	case vector.Int, vector.Timestamp:
 		return mix64(uint64(v.Ints()[i]))
 	case vector.Float:
+		// -0.0 and +0.0 are one grouping key, and so is every NaN
+		// payload: equal keys must route to one partition.
 		f := v.Floats()[i]
-		if f == 0 {
-			f = 0 // collapse -0.0 into +0.0: they are one grouping key
+		switch {
+		case f == 0:
+			f = 0
+		case f != f:
+			f = math.NaN()
 		}
 		return mix64(math.Float64bits(f))
 	case vector.Bool:

@@ -559,6 +559,29 @@ func (g *Group) deliver(s *shard, batch *bat.Relation) error {
 	if batch.Len() == 0 {
 		return nil
 	}
+	hw, lw := g.opts.highWater(), g.opts.lowWater()
+	for {
+		sink, release := g.target.Acquire()
+		if hw > 0 && sink.Occupancy() >= hw {
+			release()
+			if g.stallUntilDrained(s, lw) {
+				continue
+			}
+			// Group closing: deliver anyway so decoded tuples are not
+			// lost; the kernel keeps draining after the periphery stops.
+			sink, release = g.target.Acquire()
+		}
+		err := g.logAndAppend(s, sink, batch)
+		release()
+		return err
+	}
+}
+
+// logAndAppend logs the batch to the write-ahead log, then appends it to
+// sink and clears it. The caller holds the target, so a quiesced target
+// has every logged frame in a basket: no frame is logged but not yet
+// routed.
+func (g *Group) logAndAppend(s *shard, sink Sink, batch *bat.Relation) error {
 	// Write-ahead tee: the batch is logged before anything is routed, so
 	// recovery never has to invent tuples the kernel saw but the log
 	// missed. A log failure drops the batch and closes the connection —
@@ -580,35 +603,14 @@ func (g *Group) deliver(s *shard, batch *bat.Relation) error {
 		batch.Clear()
 		return ferr
 	}
-	hw, lw := g.opts.highWater(), g.opts.lowWater()
-	for {
-		sink, release := g.target.Acquire()
-		if hw > 0 && sink.Occupancy() >= hw {
-			release()
-			if !g.stallUntilDrained(s, lw) {
-				// Group closing: deliver anyway so decoded tuples are not
-				// lost; the kernel keeps draining after the periphery stops.
-				sink, release = g.target.Acquire()
-				defer release()
-				start := time.Now()
-				n, err := sink.Append(batch)
-				s.routeT.Add(int64(time.Since(start)))
-				s.tuples.Add(int64(n))
-				batch.Clear()
-				return err
-			}
-			continue
-		}
-		// Route timing: one clock pair per frame (never per tuple) around
-		// the sink append — the route stage of the latency breakdown.
-		start := time.Now()
-		n, err := sink.Append(batch)
-		s.routeT.Add(int64(time.Since(start)))
-		release()
-		s.tuples.Add(int64(n))
-		batch.Clear()
-		return err
-	}
+	// Route timing: one clock pair per frame (never per tuple) around
+	// the sink append — the route stage of the latency breakdown.
+	start := time.Now()
+	n, err := sink.Append(batch)
+	s.routeT.Add(int64(time.Since(start)))
+	s.tuples.Add(int64(n))
+	batch.Clear()
+	return err
 }
 
 // stallUntilDrained blocks until sink occupancy falls below lw, counting

@@ -302,8 +302,9 @@ func mergeLabels(labels, extra string) string {
 	return labels[:len(labels)-1] + "," + extra + "}"
 }
 
-// Sample is one collected value, the JSON-friendly form of a series used
-// by /snapshot and the CLI's \stats.
+// Sample is one collected value, the JSON-friendly form of a series that
+// Samples returns. (/snapshot and the CLI's \stats read engine snapshots,
+// not Samples.)
 type Sample struct {
 	Name   string  `json:"name"`
 	Labels string  `json:"labels,omitempty"`

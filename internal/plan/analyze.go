@@ -187,15 +187,11 @@ func (a *Analysis) newStreamScan() *StreamScan {
 			return err
 		},
 	}
-	// An aggregating or ordering plan that partitions does so via its
-	// two-phase form: attach the compiled Combine so the strategy wirings
-	// stage partial states and fold them with a combining merge. (A hash
-	// verdict without a valid two-phase form — count(distinct) — keeps
-	// the concatenating merge, which co-location makes exact.)
-	if ss.Part.Mode != PartNone {
-		if tp := twoPhaseSpec(cat, sel, streamName); tp != nil {
-			ss.Combine = buildCombine(cat, sel, streamName, tp, cols)
-		}
+	// A plan whose partitions' results do not simply concatenate attaches
+	// its compiled two-phase form, so the strategy wirings stage partial
+	// states and fold them with a combining merge.
+	if tp := combineSpec(cat, sel, streamName, ss.Part); tp != nil {
+		ss.Combine = buildCombine(cat, sel, streamName, tp, cols)
 	}
 	return ss
 }

@@ -800,11 +800,18 @@ func (e *env) execSelect(sel *sql.SelectStmt) (*bat.Relation, error) {
 	var j *bat.Relation
 	var err error
 	if len(srcs) == 1 {
-		selv, perr := e.evalPred(sel.Where, srcs[0].rel, nil)
-		if perr != nil {
-			return nil, perr
+		lateMat := sel.Union == nil && len(sel.OrderBy) == 0
+		// An unfiltered aggregate keeps selv nil, so selectTailCand reads
+		// the source relation as it is rather than gathering every column
+		// through the identity list.
+		var selv []int32
+		if !lateMat || !aggregated || sel.Where != nil {
+			var perr error
+			if selv, perr = e.evalPred(sel.Where, srcs[0].rel, nil); perr != nil {
+				return nil, perr
+			}
 		}
-		if sel.Union == nil && len(sel.OrderBy) == 0 {
+		if lateMat {
 			// Late materialisation: skip the whole-relation gather and
 			// project straight off (rel, selv). Top over a plain projection
 			// truncates the candidate list before any column is copied.

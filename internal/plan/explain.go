@@ -80,7 +80,7 @@ func explainFiring(b *strings.Builder, cat *Catalog, s *sql.SelectStmt) {
 		case PartHash:
 			fmt.Fprintf(b, "  partitionable: hash(%s) (grouped plan, keys co-locate)\n", v.Col)
 			if col, set, ok := v.Prune(); ok {
-				fmt.Fprintf(b, "  prune: %s in %s (non-matching tuples divert to the catch-all before partial aggregation)\n", col, set)
+				fmt.Fprintf(b, "  prune: %s in %s (non-matching tuples divert to the catch-all before aggregation)\n", col, set)
 			}
 		case PartRange:
 			fmt.Fprintf(b, "  partitionable: range(%s in %s) (sargable predicate; non-matching tuples prune to the catch-all)\n",
@@ -88,14 +88,13 @@ func explainFiring(b *strings.Builder, cat *Catalog, s *sql.SelectStmt) {
 		default:
 			b.WriteString("  partitionable: no (plan must see the whole stream)\n")
 		}
-		if v.Mode != PartNone {
-			if tp := twoPhaseSpec(cat, s, inputs[0].Name()); tp != nil {
-				if tp.aggregated {
-					b.WriteString("  two-phase: partial aggregate per partition + combining merge (re-group, fold partial states)\n")
-				} else {
-					b.WriteString("  two-phase: partial sort per partition + k-way combining merge\n")
-				}
-			}
+		switch tp := combineSpec(cat, s, inputs[0].Name(), v); {
+		case tp != nil && tp.aggregated:
+			b.WriteString("  two-phase: partial aggregate per partition + combining merge (re-group, fold partial states)\n")
+		case tp != nil:
+			b.WriteString("  two-phase: partial sort per partition + k-way combining merge\n")
+		case v.Mode == PartHash:
+			b.WriteString("  concatenating merge: each group lives on one partition, so per-partition groups are final\n")
 		}
 	}
 }

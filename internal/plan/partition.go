@@ -220,10 +220,26 @@ func TwoPhase(cat *Catalog, stmt sql.Statement) bool {
 	case *sql.InsertStmt:
 		sel = s.Query
 	}
-	if partitionVerdict(cat, sel, streamName).Mode == PartNone {
-		return false
+	return combineSpec(cat, sel, streamName, partitionVerdict(cat, sel, streamName)) != nil
+}
+
+// combineSpec is the one decision between the two merges of a plan
+// partitioned under verdict v: it returns the two-phase form the clones
+// and the combining merge execute, or nil when the per-partition results
+// concatenate. They concatenate when the plan does not partition, when it
+// has no valid two-phase form, and when a hash verdict routes a grouped
+// plan with no ORDER BY or TOP: equal full keys then meet in one
+// partition, so each clone's groups are already final. Global aggregates,
+// round-robin and range verdicts, and ordered or TOP outputs keep the
+// combining merge.
+func combineSpec(cat *Catalog, sel *sql.SelectStmt, streamName string, v Verdict) *twoPhase {
+	switch {
+	case v.Mode == PartNone:
+		return nil
+	case v.Mode == PartHash && len(sel.OrderBy) == 0 && sel.Top < 0:
+		return nil
 	}
-	return twoPhaseSpec(cat, sel, streamName) != nil
+	return twoPhaseSpec(cat, sel, streamName)
 }
 
 // partitionVerdict decides how a single-stream continuous select may be
@@ -233,9 +249,9 @@ func TwoPhase(cat *Catalog, stmt sql.Statement) bool {
 // tuples to a catch-all) and round-robin otherwise; an outer ORDER BY
 // stays partitionable when its two-phase form validates (per-partition
 // sort, k-way combining merge). Grouped plans whose first grouping key is
-// a plain stream column hash-partition on that column — with a combining
-// merge when every aggregate is mergeable, and plain concatenation (which
-// hash co-location keeps correct) otherwise, e.g. count(distinct).
+// a plain stream column hash-partition on that column; hash co-location
+// keeps each group on one partition, so their results concatenate unless
+// an ORDER BY or TOP needs the combining merge (see combineSpec).
 // Other mergeable aggregations — expression group keys, global
 // aggregates — go round-robin (or range) with a combining merge.
 // Everything left — unordered TOP, DISTINCT, UNION, joins, scalar
@@ -300,9 +316,10 @@ func partitionVerdict(cat *Catalog, sel *sql.SelectStmt, streamName string) Verd
 		return v
 	}
 	// Hashing any one grouping column co-locates equal full keys: equal
-	// full key implies equal first key implies same partition. That keeps
-	// each group's partial state on a single partition, so even AVG
-	// combines bit-exactly.
+	// full key implies equal first key implies same partition. Each
+	// group's state then lives on a single partition, so its result is
+	// final there and concatenates, unless an ORDER BY or TOP needs the
+	// combining merge (combineSpec), where even AVG combines bit-exactly.
 	if tp.nKeys > 0 {
 		if key, ok := plainStreamCol(sel.GroupBy[0], names); ok {
 			v := Verdict{Mode: PartHash, Col: key}

@@ -2,6 +2,9 @@ package relop
 
 import (
 	"math"
+	"math/bits"
+	"slices"
+	"sync"
 
 	"datacell/internal/vector"
 )
@@ -19,10 +22,11 @@ func (g *Grouping) NumGroups() int { return len(g.Repr) }
 
 // GroupBy computes a dense grouping over one or more aligned key columns.
 // With no key columns every tuple falls into a single group 0 (global
-// aggregate), provided n > 0.
+// aggregate), provided n > 0. Group ids follow the first occurrence of
+// each key in row order, whichever key path is taken.
 func GroupBy(keys []*vector.Vector, n int) *Grouping {
-	g := &Grouping{GroupIDs: make([]int32, n)}
 	if len(keys) == 0 {
+		g := &Grouping{GroupIDs: make([]int32, n)}
 		if n > 0 {
 			g.Repr = []int32{0}
 		}
@@ -31,6 +35,109 @@ func GroupBy(keys []*vector.Vector, n int) *Grouping {
 	if len(keys) == 1 {
 		return groupBySingle(keys[0], n)
 	}
+	sc := packScratch.Get().(*groupScratch)
+	defer packScratch.Put(sc)
+	sc.codes = slices.Grow(sc.codes[:0], n)[:n]
+	if space, ok := packKeys(sc.codes, keys, n); ok && space <= uint64(max(4*n, 4096)) {
+		return groupByCodes(sc, space)
+	}
+	return groupByBytes(keys, n)
+}
+
+// groupScratch is the per-call working memory of packed grouping: one
+// code per row and the dense slot table, kept across calls in
+// packScratch so a steady stream of small batches allocates only its
+// result.
+type groupScratch struct {
+	codes []uint64
+	slots []int32
+}
+
+var packScratch = sync.Pool{New: func() any { return new(groupScratch) }}
+
+// packKeys writes into codes (len n) one mixed-radix code per row of the
+// key columns: each column contributes (v - min) times the product of the
+// spans of the columns before it, so two rows get equal codes exactly
+// when every key is equal. It returns the code space, the product of all
+// spans (max - min + 1; a Bool column spans 0..1). ok is false, and codes
+// are garbage, when a column is not Int, Timestamp or Bool, or when the
+// code space does not fit a uint64 (a column covering all 64 bits spans
+// 2^64 and never fits).
+func packKeys(codes []uint64, keys []*vector.Vector, n int) (space uint64, ok bool) {
+	for _, k := range keys {
+		switch k.Kind() {
+		case vector.Int, vector.Timestamp, vector.Bool:
+		default:
+			return 0, false
+		}
+	}
+	clear(codes)
+	stride := uint64(1)
+	for _, k := range keys {
+		if k.Kind() == vector.Bool {
+			if hi, _ := bits.Mul64(stride, 2); hi != 0 {
+				return 0, false
+			}
+			for i, b := range k.Bools()[:n] {
+				if b {
+					codes[i] += stride
+				}
+			}
+			stride *= 2
+			continue
+		}
+		vals := k.Ints()[:n]
+		if n == 0 {
+			continue
+		}
+		lo, hi := vals[0], vals[0]
+		for _, v := range vals[1:] {
+			lo, hi = min(lo, v), max(hi, v)
+		}
+		// Unsigned arithmetic wraps correctly where hi - lo overflows
+		// int64; a span of 0 is the full 2^64.
+		span := uint64(hi) - uint64(lo) + 1
+		if span == 0 {
+			return 0, false
+		}
+		if over, _ := bits.Mul64(stride, span); over != 0 {
+			return 0, false
+		}
+		for i, v := range vals {
+			codes[i] += (uint64(v) - uint64(lo)) * stride
+		}
+		stride *= span
+	}
+	return stride, true
+}
+
+// groupByCodes assigns group ids to packed codes in row order through a
+// dense slot table of space entries.
+func groupByCodes(sc *groupScratch, space uint64) *Grouping {
+	n := len(sc.codes)
+	g := &Grouping{GroupIDs: make([]int32, n)}
+	// slots[c] holds the id of code c plus one; 0 marks a free slot.
+	slots := slices.Grow(sc.slots[:0], int(space))[:space]
+	clear(slots)
+	for i, c := range sc.codes {
+		s := slots[c]
+		if s == 0 {
+			g.Repr = append(g.Repr, int32(i))
+			s = int32(len(g.Repr))
+			slots[c] = s
+		}
+		g.GroupIDs[i] = s - 1
+	}
+	sc.slots = slots
+	return g
+}
+
+// groupByBytes groups on the composite byte key of appendKey: the path
+// for key sets holding a Float or Str column, and for those whose packed
+// code space overflows or is too sparse for a dense slot table of
+// max(4n, 4096) entries.
+func groupByBytes(keys []*vector.Vector, n int) *Grouping {
+	g := &Grouping{GroupIDs: make([]int32, n)}
 	ht := make(map[string]int32, 64)
 	var key []byte
 	for i := 0; i < n; i++ {

@@ -2,7 +2,9 @@ package relop
 
 import (
 	"math"
+	"math/rand"
 	"slices"
+	"strconv"
 	"testing"
 
 	"datacell/internal/vector"
@@ -54,6 +56,144 @@ func TestGroupAndJoinKeysEquality(t *testing.T) {
 	}
 }
 
+// TestPackedGroupByMatchesBytes checks the packed-code grouping of Int,
+// Timestamp and Bool keys against the composite byte key path: the same
+// ids and the same first rows. Each case states whether the key columns
+// pack and, where they do, the code space, which places it on one side of
+// the dense slot table's max(4n, 4096) bound (above it GroupBy takes the
+// byte path). The cases run in parallel, so they share the pooled
+// scratch.
+func TestPackedGroupByMatchesBytes(t *testing.T) {
+	cycle := func(n int, vals ...int64) []int64 {
+		out := make([]int64, n)
+		for i := range out {
+			out[i] = vals[i%len(vals)]
+		}
+		return out
+	}
+	upTo := func(n, m int) []int64 {
+		out := make([]int64, n)
+		for i := range out {
+			out[i] = int64(i % m)
+		}
+		return out
+	}
+	ints, ts := vector.FromInts, vector.FromTimestamps
+	cases := []struct {
+		name   string
+		keys   []*vector.Vector
+		packed bool
+		space  uint64
+	}{
+		{
+			name: "min and max int64 in one column",
+			keys: []*vector.Vector{ints([]int64{math.MinInt64, math.MaxInt64, math.MinInt64, 0}), ints([]int64{1, 1, 1, 2})},
+		},
+		{
+			name: "spans whose product overflows",
+			keys: []*vector.Vector{ints([]int64{-1 << 40, 1 << 40, 0, -1 << 40}), ints([]int64{-1 << 30, 1 << 30, 0, -1 << 30})},
+		},
+		{
+			name: "half range times a bool overflows",
+			keys: []*vector.Vector{ints([]int64{math.MinInt64, -1, math.MinInt64}), vector.FromBools([]bool{true, false, true})},
+		},
+		{
+			name:   "wide span that fits",
+			keys:   []*vector.Vector{ints([]int64{-1 << 62, 1 << 62, -1 << 62, 0}), ints([]int64{5, 5, 5, 5})},
+			packed: true, space: 1<<63 + 1,
+		},
+		{
+			name: "timestamp bool int, negative values",
+			keys: []*vector.Vector{
+				ts([]int64{-5, -5, 3, -5, 3, -5}),
+				vector.FromBools([]bool{true, false, true, true, true, false}),
+				ints([]int64{-1, -1, -7, -1, -7, -2}),
+			},
+			packed: true, space: 9 * 2 * 7,
+		},
+		{
+			name:   "no rows",
+			keys:   []*vector.Vector{ints(nil), vector.FromBools(nil), ts(nil)},
+			packed: true, space: 2,
+		},
+		{
+			name:   "dense at 4096 slots",
+			keys:   []*vector.Vector{ints(upTo(300, 64)), ints(cycle(300, 0, 63, 7))},
+			packed: true, space: 64 * 64,
+		},
+		{
+			name:   "byte path at 4160 slots",
+			keys:   []*vector.Vector{ints(upTo(300, 64)), ints(cycle(300, 0, 64, 7))},
+			packed: true, space: 64 * 65,
+		},
+		{
+			name:   "dense at 4n slots",
+			keys:   []*vector.Vector{ints(upTo(2000, 80)), ints(cycle(2000, 3, 102, 50, 3))},
+			packed: true, space: 80 * 100,
+		},
+		{
+			name:   "byte path above 4n slots",
+			keys:   []*vector.Vector{ints(upTo(2000, 80)), ints(cycle(2000, 3, 103, 50, 3))},
+			packed: true, space: 80 * 101,
+		},
+		{
+			name: "str key keeps the byte path",
+			keys: []*vector.Vector{vector.FromStrs([]string{"a", "b", "a"}), ints([]int64{1, 1, 1})},
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			n := c.keys[0].Len()
+			space, ok := packKeys(make([]uint64, n), c.keys, n)
+			if ok != c.packed || (ok && space != c.space) {
+				t.Fatalf("packKeys = (%d, %v), want (%d, %v)", space, ok, c.space, c.packed)
+			}
+			got, want := GroupBy(c.keys, n), groupByBytes(c.keys, n)
+			if !slices.Equal(got.GroupIDs, want.GroupIDs) || !slices.Equal(got.Repr, want.Repr) {
+				t.Fatalf("GroupBy = %v / %v, byte path = %v / %v", got.GroupIDs, got.Repr, want.GroupIDs, want.Repr)
+			}
+		})
+	}
+}
+
+// BenchmarkGroupBy times one grouping of 256 rows: four Int keys whose
+// code space takes the dense slot table, four whose space is too sparse
+// for it and falls back to the composite byte key, and a Str+Int key set
+// on the byte key.
+func BenchmarkGroupBy(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	col := func(span int64) *vector.Vector {
+		v := make([]int64, 256)
+		for i := range v {
+			v[i] = rng.Int63n(span)
+		}
+		return vector.FromInts(v)
+	}
+	strs := make([]string, 256)
+	for i := range strs {
+		strs[i] = strconv.Itoa(rng.Intn(100))
+	}
+	for _, c := range []struct {
+		name string
+		keys []*vector.Vector
+	}{
+		{"ints=4/dense", []*vector.Vector{col(2), col(2), col(100), col(4)}},
+		{"ints=4/sparse", []*vector.Vector{col(1000), col(2), col(100), col(1 << 20)}},
+		{"str+int", []*vector.Vector{vector.FromStrs(strs), col(4)}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				groupSink = GroupBy(c.keys, 256)
+			}
+		})
+	}
+}
+
+// groupSink keeps benchmark results live.
+var groupSink *Grouping
+
 // keysEqual is the row-at-a-time reference for key equality: values of
 // one kind compare with == (so -0 equals 0), except that all NaNs are
 // equal.
@@ -70,12 +210,14 @@ func keysEqual(keys []*vector.Vector, i, j int) bool {
 	return true
 }
 
-// fuzzKinds and fuzzFloats are the domains FuzzGroupKeys draws from:
-// small, so that equal keys are frequent, and holding the values that key
-// encodings get wrong. Strings are spelled over "xy\x1e\x1f" for the same
-// reason.
+// fuzzKinds, fuzzInts and fuzzFloats are the domains FuzzGroupKeys draws
+// from: small, so that equal keys are frequent, and holding the values
+// that key encodings get wrong. The int extremes make packed codes span
+// all 64 bits, overflow across columns, or leave the dense slot table.
+// Strings are spelled over "xy\x1e\x1f" for the same reason.
 var (
 	fuzzKinds  = []vector.Type{vector.Int, vector.Float, vector.Str, vector.Bool, vector.Timestamp}
+	fuzzInts   = []int64{-2, -1, 0, 1, 2, math.MinInt64, math.MaxInt64, 1 << 32, -1 << 32}
 	fuzzFloats = []float64{0, math.Copysign(0, -1), math.NaN(), math.Float64frombits(0x7ff8000000000001), 1, -1, math.Inf(1), 0.5}
 )
 
@@ -101,9 +243,9 @@ func fuzzKeyColumns(data []byte) []*vector.Vector {
 			b := next()
 			switch k.Kind() {
 			case vector.Int:
-				k.Append(vector.NewInt(int64(b%5) - 2))
+				k.Append(vector.NewInt(fuzzInts[int(b)%len(fuzzInts)]))
 			case vector.Timestamp:
-				k.Append(vector.NewTimestampMicros(int64(b%5) - 2))
+				k.Append(vector.NewTimestampMicros(fuzzInts[int(b)%len(fuzzInts)]))
 			case vector.Bool:
 				k.Append(vector.NewBool(b&1 == 1))
 			case vector.Float:

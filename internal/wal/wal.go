@@ -413,17 +413,18 @@ func (l *Log) Sync() error {
 	return l.syncLocked()
 }
 
-// WriteCheckpoint durably records that every frame up to LastSeq has been
-// consumed by the kernel, so recovery replays only frames after it. It is
-// a no-op when nothing new was logged since the last checkpoint.
-func (l *Log) WriteCheckpoint() error {
+// WriteCheckpoint durably records that every frame up to sequence number
+// upTo (clamped to LastSeq) has been consumed by the kernel, so recovery
+// replays only frames after it. It is a no-op when upTo is not past the
+// last checkpoint.
+func (l *Log) WriteCheckpoint(upTo uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.stateErrLocked(); err != nil {
 		return err
 	}
-	seq := l.seq - 1
-	if seq == l.ckpt {
+	seq := min(upTo, l.seq-1)
+	if seq <= l.ckpt {
 		return nil
 	}
 	var rec [13]byte

@@ -244,10 +244,11 @@ func TestCheckpointBoundsReplay(t *testing.T) {
 	}
 	mustLog(t, l, [2]int64{1, 10})
 	mustLog(t, l, [2]int64{2, 20})
-	if err := l.WriteCheckpoint(); err != nil {
+	mustLog(t, l, [2]int64{3, 30})
+	// A checkpoint bounded below LastSeq leaves the frames after it.
+	if err := l.WriteCheckpoint(2); err != nil {
 		t.Fatal(err)
 	}
-	mustLog(t, l, [2]int64{3, 30})
 	l.Close()
 
 	l2, info, err := Open(dir, manualSync())
@@ -268,11 +269,15 @@ func TestCheckpointBoundsReplay(t *testing.T) {
 	if len(seqs) != 1 || seqs[0] != 3 {
 		t.Fatalf("tail seqs = %v, want [3]", seqs)
 	}
-	// Checkpoint with nothing new is a durable no-op.
-	if err := l2.WriteCheckpoint(); err != nil {
+	// A bound past LastSeq clamps to it; a checkpoint with nothing new, or
+	// one below the last, is a durable no-op.
+	if err := l2.WriteCheckpoint(99); err != nil {
 		t.Fatal(err)
 	}
-	if err := l2.WriteCheckpoint(); err != nil {
+	if err := l2.WriteCheckpoint(l2.LastSeq()); err != nil {
+		t.Fatal(err)
+	}
+	if err := l2.WriteCheckpoint(1); err != nil {
 		t.Fatal(err)
 	}
 	if l2.Checkpoint() != 3 {
@@ -329,7 +334,7 @@ func TestCrashLosesBufferedKeepsSynced(t *testing.T) {
 	if _, err := l.LogBatch(testRel(t, [2]int64{3, 30})); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("append on crashed log = %v", err)
 	}
-	if err := l.WriteCheckpoint(); !errors.Is(err, ErrCrashed) {
+	if err := l.WriteCheckpoint(l.LastSeq()); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("checkpoint on crashed log = %v", err)
 	}
 	_, rows := collect(t, dir, 0)

@@ -29,7 +29,9 @@ func obsTestEngine(t *testing.T) *Engine {
 	if err := eng.OpenWAL(WALOptions{Dir: t.TempDir()}); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.RegisterQuery("agg", `select t.k, sum(t.v) from [select * from s] t group by t.k`); err != nil {
+	// agg is a global aggregate: it keeps the two-phase merge barrier
+	// under any split, where a hash-grouped query concatenates.
+	if err := eng.RegisterQuery("agg", `select count(*) as n, sum(t.v) as s from [select * from s] t`); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.RegisterQuery("flt", `select t.v from [select * from s] t where t.v < 50`); err != nil {

@@ -7,9 +7,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
+	"datacell/internal/basket"
 	"datacell/internal/bat"
 	"datacell/internal/ingest"
 	"datacell/internal/obs"
@@ -259,24 +261,109 @@ func (e *Engine) walLogsLocked() []*wal.Log {
 	return logs
 }
 
-// checkpointWAL writes a checkpoint to every open stream log. Crashed or
-// failed logs refuse (a crash must replay); their error is ignored here
-// because checkpointing is an optimization, never a correctness
-// requirement.
+// checkpointWAL writes a checkpoint to every open stream log whose
+// stream holds no tuple in any basket it feeds (see holdsTuplesLocked): a
+// checkpoint marks logged frames consumed, so one taken over a waiting
+// tuple would lose it in a crash. The check and the checkpoint's bound
+// are taken together with the stream's ingest quiesced. Receptors log and
+// route a frame under one hold of their target, so every frame up to the
+// bound is in a basket the check saw, and frames logged after it stay
+// past the checkpoint. Any other log is only synced; it keeps its
+// replayable tail, and recovery then replays frames whose results were
+// already delivered (at-least-once). Crashed or failed logs refuse (a
+// crash must replay); their error is ignored here because checkpointing
+// is an optimization, never a correctness requirement.
 func (e *Engine) checkpointWAL(close bool) {
-	e.mu.Lock()
-	logs := e.walLogsLocked()
-	if close && e.wal != nil {
-		// Closed logs are forgotten so a later listener reopens them.
-		e.wal.logs = map[string]*wal.Log{}
+	type pinned struct {
+		lg   *wal.Log
+		upTo uint64
+		held bool
 	}
-	e.mu.Unlock()
-	for _, lg := range logs {
-		lg.WriteCheckpoint() //nolint:errcheck // see doc comment
+	var logs []pinned
+	e.mu.Lock()
+	if e.wal != nil {
+		for name, lg := range e.wal.logs {
+			resume := e.quiesceIngestLocked(name)
+			logs = append(logs, pinned{lg: lg, upTo: lg.LastSeq(), held: e.holdsTuplesLocked(name)})
+			resume()
+		}
 		if close {
-			lg.Close()
+			// Closed logs are forgotten so a later listener reopens them.
+			e.wal.logs = map[string]*wal.Log{}
 		}
 	}
+	e.mu.Unlock()
+	for _, p := range logs {
+		if p.held {
+			p.lg.Sync() //nolint:errcheck // see doc comment
+		} else {
+			p.lg.WriteCheckpoint(p.upTo) //nolint:errcheck // see doc comment
+		}
+		if close {
+			p.lg.Close()
+		}
+	}
+}
+
+// quiesceIngestLocked blocks new receptor deliveries into the stream and
+// waits out in-flight ones, through the group's target and the own target
+// of any splitter-path listener. The returned function resumes delivery
+// into the unchanged sinks. Caller holds e.mu.
+func (e *Engine) quiesceIngestLocked(streamName string) func() {
+	g := e.groups[streamName]
+	if g == nil {
+		return func() {}
+	}
+	tgts := []*ingest.SwitchTarget{g.target()}
+	for _, l := range g.listeners {
+		if !slices.Contains(tgts, l.tgt) {
+			tgts = append(tgts, l.tgt)
+		}
+	}
+	resumes := make([]func(ingest.Sink), len(tgts))
+	for i, t := range tgts {
+		resumes[i] = t.Quiesce()
+	}
+	return func() {
+		for _, r := range resumes {
+			r(nil)
+		}
+	}
+}
+
+// holdsTuplesLocked reports whether any basket fed by the stream holds a
+// tuple: the stream basket, and for a query group also its taps, the
+// partitions with their catch-alls, the staging of computed-but-unmerged
+// results, and per member its private replica and the feed of each of its
+// query factories. A query factory's first input is its feed (see
+// attachLatencyLocked): the stream, a partition, the private replica, or
+// the chain basket a partial-deletes wiring passes residue down. Caller
+// holds e.mu.
+func (e *Engine) holdsTuplesLocked(streamName string) bool {
+	g := e.groups[streamName]
+	if g == nil {
+		b := e.cat.Basket(streamName)
+		return b != nil && b.Len() > 0
+	}
+	bs := append([]*basket.Basket{g.stream}, g.taps...)
+	bs = append(bs, g.parts...)
+	for _, ps := range g.memberParts {
+		bs = append(bs, ps...)
+	}
+	for _, so := range g.staging {
+		bs = append(bs, so.staging...)
+	}
+	for _, m := range g.scans {
+		if m.priv != nil {
+			bs = append(bs, m.priv)
+		}
+		for _, f := range m.factories {
+			if ins := f.Inputs(); len(ins) > 0 {
+				bs = append(bs, ins[0])
+			}
+		}
+	}
+	return slices.ContainsFunc(bs, func(b *basket.Basket) bool { return b.Len() > 0 })
 }
 
 // Kill simulates abrupt process death, for crash-recovery testing: ingest
