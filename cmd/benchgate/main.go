@@ -210,60 +210,6 @@ func loadAgg(path string) (map[string]float64, error) {
 	return out, nil
 }
 
-// adaptDoc mirrors the BENCH_adapt.json layout.
-type adaptDoc struct {
-	Rows []adaptRow `json:"rows"`
-}
-
-// adaptRow is one parallelism-policy run of the ramp workload, keyed by
-// mode ("static-1", "static-4", "auto").
-type adaptRow struct {
-	Mode         string  `json:"mode"`
-	EventsPerSec float64 `json:"events_per_second"`
-}
-
-func (r adaptRow) key() string {
-	return fmt.Sprintf("adapt %s events/s", r.Mode)
-}
-
-func loadAdapt(path string) ([]adaptRow, map[string]float64, error) {
-	var doc adaptDoc
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", path, err)
-	}
-	out := map[string]float64{}
-	for _, r := range doc.Rows {
-		out[r.key()] = r.EventsPerSec
-	}
-	return doc.Rows, out, nil
-}
-
-// gateAdaptAuto enforces the adaptive floor on the current run itself:
-// the auto policy must reach at least bestStatic/div, so a controller
-// that dithers, thrashes or parks at a losing P cannot hide behind a
-// slow runner — the statics ran on the same box in the same job.
-func gateAdaptAuto(rows []adaptRow, div float64) (measurement, bool, bool) {
-	auto, bestStatic := 0.0, 0.0
-	haveAuto := false
-	for _, r := range rows {
-		if r.Mode == "auto" {
-			auto = r.EventsPerSec
-			haveAuto = true
-		} else if r.EventsPerSec > bestStatic {
-			bestStatic = r.EventsPerSec
-		}
-	}
-	if !haveAuto || bestStatic == 0 {
-		return measurement{}, false, false
-	}
-	m := measurement{name: "adapt auto vs best static events/s", committed: bestStatic, current: auto}
-	return m, true, m.belowFloor(div)
-}
-
 // walDoc mirrors the BENCH_wal.json layout.
 type walDoc struct {
 	Rows []walRow `json:"rows"`
@@ -490,9 +436,6 @@ func main() {
 	aggBase := flag.String("agg-baseline", "", "committed BENCH_agg.json (events/s floors; optional)")
 	aggCur := flag.String("agg-current", "BENCH_agg.json", "regenerated BENCH_agg.json")
 	aggDiv := flag.Float64("agg-div", 1.5, "agg floor divisor: current must reach committed/div")
-	adaptBase := flag.String("adapt-baseline", "", "committed BENCH_adapt.json (events/s floors; optional)")
-	adaptCur := flag.String("adapt-current", "BENCH_adapt.json", "regenerated BENCH_adapt.json")
-	adaptDiv := flag.Float64("adapt-div", 1.5, "adapt floor divisor: per-mode floors and the auto ≥ best-static/div consistency gate")
 	walBase := flag.String("wal-baseline", "", "committed BENCH_wal.json (events/s floors; optional)")
 	walCur := flag.String("wal-current", "BENCH_wal.json", "regenerated BENCH_wal.json")
 	walDiv := flag.Float64("wal-div", 2.0, "wal floor divisor: per-row floors plus the WAL-on ≥ 0.7×WAL-off and 0.7×committed-ingest gates (fsync-bound runs jitter more than plain ingest)")
@@ -506,7 +449,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchgate: -baseline is required")
 		os.Exit(2)
 	}
-	for _, p := range []string{*baseline, *ingestBase, *aggBase, *adaptBase, *walBase, *latBase} {
+	for _, p := range []string{*baseline, *ingestBase, *aggBase, *walBase, *latBase} {
 		if p != "" {
 			warnProvenance(p)
 		}
@@ -610,44 +553,6 @@ func main() {
 		}
 	}
 
-	var adaptBad []measurement
-	if *adaptBase != "" {
-		_, base, err := loadAdapt(*adaptBase)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-			os.Exit(2)
-		}
-		curRows, cur, err := loadAdapt(*adaptCur)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-			os.Exit(2)
-		}
-		var adaptChecked []measurement
-		adaptChecked, adaptBad = gateIngest(base, cur, *adaptDiv)
-		// The cross-mode consistency gate runs within the current file:
-		// auto must keep up with the best static policy measured on the
-		// same box in the same job.
-		if m, ok, below := gateAdaptAuto(curRows, *adaptDiv); ok {
-			adaptChecked = append(adaptChecked, m)
-			if below {
-				adaptBad = append(adaptBad, m)
-			}
-		}
-		for _, m := range adaptChecked {
-			status := "ok"
-			if m.belowFloor(*adaptDiv) {
-				status = "REGRESSED"
-			}
-			fmt.Printf("benchgate: %-40s committed %.0f, current %.0f, floor %.0f  [%s]\n",
-				m.name, m.committed, m.current, m.committed / *adaptDiv, status)
-		}
-		if len(adaptChecked) == 0 {
-			fmt.Println("benchgate: no committed adapt row was measured; adapt not gated")
-		} else {
-			fmt.Printf("benchgate: %d adapt floor(s) checked\n", len(adaptChecked))
-		}
-	}
-
 	var walBad []measurement
 	if *walBase != "" {
 		_, base, err := loadWAL(*walBase)
@@ -744,10 +649,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchgate: %d agg floor(s) fell below committed/%.2f\n",
 			len(aggBad), *aggDiv)
 	}
-	if len(adaptBad) > 0 {
-		fmt.Fprintf(os.Stderr, "benchgate: %d adapt floor(s) fell below committed/%.2f\n",
-			len(adaptBad), *adaptDiv)
-	}
 	if len(walBad) > 0 {
 		fmt.Fprintf(os.Stderr, "benchgate: %d wal floor(s) fell below committed/%.2f\n",
 			len(walBad), *walDiv)
@@ -756,7 +657,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchgate: %d latency SLO(s) broken (p99 past committed*%.2f+%.0fµs, or achieved rate below committed/%.2f)\n",
 			len(latBad), *latMult, *latAbsUs, *latDiv)
 	}
-	if len(bad) > 0 || len(ingestBad) > 0 || len(aggBad) > 0 || len(adaptBad) > 0 || len(walBad) > 0 || len(latBad) > 0 {
+	if len(bad) > 0 || len(ingestBad) > 0 || len(aggBad) > 0 || len(walBad) > 0 || len(latBad) > 0 {
 		os.Exit(1)
 	}
 }

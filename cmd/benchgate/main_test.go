@@ -144,27 +144,6 @@ func TestIngestFloorPolicy(t *testing.T) {
 	}
 }
 
-func TestAdaptAutoConsistencyGate(t *testing.T) {
-	rows := []adaptRow{
-		{Mode: "static-1", EventsPerSec: 1000},
-		{Mode: "static-4", EventsPerSec: 1500},
-		{Mode: "auto", EventsPerSec: 1100},
-	}
-	// auto 1100 >= best static 1500/1.5 = 1000: within the floor.
-	if m, ok, below := gateAdaptAuto(rows, 1.5); !ok || below {
-		t.Fatalf("auto within floor flagged: ok=%v below=%v m=%v", ok, below, m)
-	}
-	// A dithering controller at 900 < 1000 trips the gate.
-	rows[2].EventsPerSec = 900
-	if _, ok, below := gateAdaptAuto(rows, 1.5); !ok || !below {
-		t.Fatal("auto below best-static/1.5 did not trip the consistency gate")
-	}
-	// No auto row: nothing to gate.
-	if _, ok, _ := gateAdaptAuto(rows[:2], 1.5); ok {
-		t.Fatal("gate claimed to check a file without an auto row")
-	}
-}
-
 func TestWALOverheadGate(t *testing.T) {
 	rows := []walRow{
 		{WAL: "off", Shards: 1, Batch: 64, EventsPerSec: 5000000},
@@ -223,28 +202,6 @@ func TestWALFloorLoad(t *testing.T) {
 	}
 	if len(rows) != 2 || keyed["wal on sync=2ms shards=1 batch=64 events/s"] != 4000000 {
 		t.Fatalf("loadWAL parsed %v / %v", rows, keyed)
-	}
-}
-
-func TestAdaptFloorLoad(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "adapt.json")
-	doc := `{
-	  "fig": "adapt",
-	  "rows": [
-	    {"mode": "static-1", "events_per_second": 700000},
-	    {"mode": "auto", "events_per_second": 800000}
-	  ]
-	}`
-	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rows, keyed, err := loadAdapt(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 || keyed["adapt auto events/s"] != 800000 {
-		t.Fatalf("loadAdapt parsed %v / %v", rows, keyed)
 	}
 }
 

@@ -173,8 +173,8 @@ func main() {
 // Engine.Snapshot instead of stitched Stats/Groups calls — to stderr.
 func printSnapshot(eng *datacell.Engine) {
 	snap := eng.Snapshot()
-	fmt.Fprintf(os.Stderr, "engine: strategy=%s parallelism=%d auto=%v queries=%d subscriptions=%d\n",
-		snap.Strategy, snap.Parallelism, snap.AutoParallelism, len(snap.Queries), snap.Subscriptions)
+	fmt.Fprintf(os.Stderr, "engine: strategy=%s parallelism=%d queries=%d subscriptions=%d\n",
+		snap.Strategy, snap.Parallelism, len(snap.Queries), snap.Subscriptions)
 	for _, q := range snap.Queries {
 		fmt.Fprintf(os.Stderr, "query %s: fires=%d out=%d pending=%d errors=%d\n",
 			q.Name, q.Fires, q.OutRows, q.Pending, q.Errors)

@@ -33,8 +33,8 @@ func metaCommand(eng *datacell.Engine, line string) bool {
 // activity — the CLI twin of the admin server's /snapshot.
 func printStats(eng *datacell.Engine) {
 	snap := eng.Snapshot()
-	fmt.Fprintf(os.Stderr, "engine: strategy=%s parallelism=%d auto=%v queries=%d subscriptions=%d events=%d\n",
-		snap.Strategy, snap.Parallelism, snap.AutoParallelism, len(snap.Queries), snap.Subscriptions, snap.EventsTotal)
+	fmt.Fprintf(os.Stderr, "engine: strategy=%s parallelism=%d queries=%d subscriptions=%d events=%d\n",
+		snap.Strategy, snap.Parallelism, len(snap.Queries), snap.Subscriptions, snap.EventsTotal)
 	for _, q := range snap.Queries {
 		fmt.Fprintf(os.Stderr, "query %s: fires=%d out=%d pending=%d errors=%d busy=%v\n",
 			q.Name, q.Fires, q.OutRows, q.Pending, q.Errors, q.Busy)

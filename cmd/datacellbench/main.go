@@ -123,13 +123,12 @@ var baseQueries = []struct{ name, src string }{
 }
 
 // flipCycle are the pragmas a flips-enabled phase cycles through: live
-// strategy rewires, static parallelism switches and the adaptive
-// controller, all under full offered load.
+// strategy rewires and static parallelism switches, all under full
+// offered load.
 var flipCycle = []string{
 	`set strategy = 'shared'`,
 	`set parallelism = 2`,
 	`set strategy = 'partial'`,
-	`set parallelism = auto`,
 	`set strategy = 'separate'`,
 	`set parallelism = 1`,
 }
@@ -158,8 +157,8 @@ func main() {
 		fmt.Printf("%-8s %8d %10.0f %10.0f %8.0fµ %8.0fµ %8.0fµ %8.0fµ %7.0fms %8d\n",
 			r.Phase, r.Conns, r.OfferedEPS, r.AchievedEPS, r.P50us, r.P99us, r.P999us, r.MaxUs, r.StallMs, r.Backlog)
 	}
-	fmt.Printf("engine: strategy=%s P=%d auto=%v queries=%d subscriptions=%d\n",
-		snap.Strategy, snap.Parallelism, snap.AutoParallelism, len(snap.Queries), snap.Subscriptions)
+	fmt.Printf("engine: strategy=%s P=%d queries=%d subscriptions=%d\n",
+		snap.Strategy, snap.Parallelism, len(snap.Queries), snap.Subscriptions)
 	for _, g := range snap.Groups {
 		fmt.Printf("group %s: strategy=%s partitions=%d rewires=%d ingest=%d stalls=%d stall_time=%v\n",
 			g.Stream, g.Strategy, g.Partitions, g.Rewires, g.IngestTuples, g.IngestStalls, g.IngestStallTime)

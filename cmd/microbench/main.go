@@ -9,7 +9,6 @@
 //	microbench -fig scale   throughput vs parallelism, per strategy
 //	microbench -fig prune   per-clone tuple counts vs selectivity × parallelism
 //	microbench -fig agg     two-phase aggregation events/s vs parallelism, per strategy
-//	microbench -fig adapt   ramp workload: adaptive controller vs static parallelism
 //	microbench -fig ingest  loopback ingest events/s: protocol × batch × shards
 //	microbench -fig wal     loopback binary ingest events/s: WAL off/on × fsync interval
 //	microbench -fig kernel  pure kernel events/second
@@ -49,7 +48,7 @@ func writeJSON(enabled bool, fig string, rows any) error {
 }
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 4a, 4b, 5a, 5b, 5be, scale, prune, agg, adapt, ingest, wal, kernel, all")
+	fig := flag.String("fig", "all", "figure to regenerate: 4a, 4b, 5a, 5b, 5be, scale, prune, agg, ingest, wal, kernel, all")
 	tuples := flag.Int("tuples", 100_000, "tuples per run (paper: 1e5)")
 	seed := flag.Int64("seed", 1, "workload seed")
 	jsonOut := flag.Bool("json", false, "also write each figure's data to BENCH_<fig>.json")
@@ -72,12 +71,11 @@ func main() {
 	run("scale", func() error { return figScale(*tuples, *seed, *jsonOut) })
 	run("prune", func() error { return figPrune(*tuples, *seed, *jsonOut) })
 	run("agg", func() error { return figAgg(*tuples, *seed, *jsonOut) })
-	run("adapt", func() error { return figAdapt(*tuples, *seed, *jsonOut) })
 	run("ingest", func() error { return figIngest(*tuples, *jsonOut) })
 	run("wal", func() error { return figWAL(*tuples, *jsonOut) })
 	run("kernel", func() error { return kernel(*tuples, *seed, *jsonOut) })
 	switch *fig {
-	case "4a", "4b", "5a", "5b", "5be", "scale", "prune", "agg", "adapt", "ingest", "wal", "kernel", "all":
+	case "4a", "4b", "5a", "5b", "5be", "scale", "prune", "agg", "ingest", "wal", "kernel", "all":
 	default:
 		fmt.Fprintf(os.Stderr, "unknown figure %q\n", *fig)
 		os.Exit(2)
@@ -367,43 +365,6 @@ func figAgg(tuples int, seed int64, jsonOut bool) error {
 		fmt.Println()
 	}
 	return writeJSON(jsonOut, "agg", rows)
-}
-
-// figAdapt races the adaptive controller against static parallelism on a
-// stepped load profile (trickle → burst → trickle → burst). The
-// interesting column is auto: it must land within the benchgate's floor
-// of the best static setting (committed in BENCH_adapt.json) while never
-// falling below P=1 — on a one-core box the controller simply refuses to
-// scale up, so auto ≈ static-1 by construction.
-func figAdapt(tuples int, seed int64, jsonOut bool) error {
-	type row struct {
-		Mode         string  `json:"mode"`
-		Strategy     string  `json:"strategy"`
-		Tuples       int     `json:"tuples"`
-		EventsPerSec float64 `json:"events_per_second"`
-		Results      int     `json:"results"`
-		Rewires      int64   `json:"rewires"`
-		FinalP       int     `json:"final_p"`
-		MaxP         int     `json:"max_p"`
-		Seconds      float64 `json:"seconds"`
-	}
-	fmt.Printf("# Adapt: ramp workload (trickle/burst steps) events/s (10^3); GOMAXPROCS=%d\n", runtime.GOMAXPROCS(0))
-	fmt.Println("mode\tevents_per_sec\trewires\tmax_p\tfinal_p")
-	var rows []row
-	for _, mode := range []string{"static-1", "static-4", "auto"} {
-		res, err := datacell.RunAdapt(mode, tuples, seed)
-		if err != nil {
-			return err
-		}
-		rows = append(rows, row{
-			Mode: res.Mode, Strategy: string(res.Strategy), Tuples: res.Tuples,
-			EventsPerSec: res.Throughput, Results: res.Results,
-			Rewires: res.Rewires, FinalP: res.FinalP, MaxP: res.MaxP,
-			Seconds: res.Elapsed.Seconds(),
-		})
-		fmt.Printf("%s\t%.1f\t%d\t%d\t%d\n", res.Mode, res.Throughput/1000, res.Rewires, res.MaxP, res.FinalP)
-	}
-	return writeJSON(jsonOut, "adapt", rows)
 }
 
 // figIngest sweeps the ingest periphery over loopback TCP: textual vs

@@ -17,7 +17,6 @@ import (
 // TestNoDeadExportedSymbols, so the list cannot go stale.
 var deadAllow = map[string]string{
 	"basket.Basket.AddConstraint": "ROADMAP 17 and 1b: SQL check constraints and the separate replica's predicate lower to it",
-	"adapt.Controller.Decisions":  "ROADMAP 3c keeps or deletes the whole auto-parallelism controller",
 	"lroad.NewSQLReference":       "ROADMAP 8: test reference for Linear Road through SQL, until queries.go goes",
 	"lroad.SQLReference.Feed":     "ROADMAP 8: as NewSQLReference",
 	"faultpoint.Inject":           "fault-injection hook: tests arm the sites that production code checks",

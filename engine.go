@@ -68,7 +68,7 @@ type QueryInfo struct {
 // Engine is a DataCell instance: a catalog of baskets and tables, a
 // Petri-net scheduler of factories, and the stream periphery. Queries are
 // registered with Exec/RegisterQuery; streams are fed with Append or TCP
-// receptors; results are consumed with Subscribe or TCP emitters.
+// receptors; results are consumed with SubscribeQuery or TCP emitters.
 //
 // Multi-query processing is organised per stream by query groups: every
 // continuous query consuming exactly one stream compiles to a reusable
@@ -105,17 +105,8 @@ type Engine struct {
 	// replays from.
 	wal *walState
 
-	// Adaptive parallelism: autoParallel hands the partition count of
-	// groups without a per-stream override to the load controller;
-	// adaptOpts tunes the controllers; adaptStop/adaptDone bound the
-	// sampling metronome goroutine Start launches.
-	autoParallel bool
-	adaptOpts    AdaptOptions
-	adaptStop    chan struct{}
-	adaptDone    chan struct{}
-
 	// Observability: reg holds the engine-owned event counters (rewires,
-	// recoveries, registrations, controller decisions); trace is the
+	// recoveries, registrations, removals); trace is the
 	// bounded ring of engine events /events and \events render; qlat maps
 	// query name to its ingest-to-emit latency histogram, attached to the
 	// query's factories at every (re)wire; ev caches the counter handles;
@@ -134,8 +125,6 @@ type engineCounters struct {
 	recoveries *obs.Counter
 	registers  *obs.Counter
 	removes    *obs.Counter
-	decisions  *obs.Counter // controller Decide calls that produced a verdict
-	applies    *obs.Counter // verdicts that triggered a rewire
 }
 
 // queryRec tracks one registered continuous query: shareable queries are
@@ -235,7 +224,7 @@ func (e *Engine) Exec(src string) ([]QueryInfo, error) {
 }
 
 // RegisterQuery registers a single (usually continuous) statement under an
-// explicit name. The name identifies the query for Subscribe and Out.
+// explicit name. The name identifies the query for SubscribeQuery and Out.
 func (e *Engine) RegisterQuery(name, src string) error {
 	s, err := sql.ParseOne(src)
 	if err != nil {
@@ -267,9 +256,6 @@ func (e *Engine) register(name string, s sql.Statement) (QueryInfo, error) {
 		case strings.EqualFold(set.Name, "parallelism"):
 			return QueryInfo{Name: name}, e.execParallelismPragma(set)
 		}
-		if set.On != "" {
-			return QueryInfo{}, fmt.Errorf("datacell: 'on %s' applies only to the parallelism pragma", set.On)
-		}
 	}
 	if !isContinuousStmt(s) {
 		if _, err := plan.Compile(e.cat, s, name); err != nil {
@@ -294,9 +280,6 @@ func (e *Engine) register(name string, s sql.Statement) (QueryInfo, error) {
 
 // execStrategyPragma applies `set strategy = '<name>'`.
 func (e *Engine) execStrategyPragma(set *sql.SetStmt) error {
-	if set.On != "" {
-		return fmt.Errorf("datacell: the strategy pragma is engine-wide ('on %s' not supported)", set.On)
-	}
 	c, ok := set.Value.(*expr.Const)
 	if !ok || c.Val.Kind != vector.Str {
 		return fmt.Errorf("datacell: set strategy expects a string literal ('separate', 'shared' or 'partial')")
@@ -308,43 +291,13 @@ func (e *Engine) execStrategyPragma(set *sql.SetStmt) error {
 	return e.SetStrategy(s)
 }
 
-// execParallelismPragma applies `set parallelism = N | auto [on stream]`
-// and `set parallelism = default on stream`. N pins the count (engine-
-// wide or for one stream), auto hands it to the load controller, and
-// default clears a per-stream override.
+// execParallelismPragma applies `set parallelism = N`.
 func (e *Engine) execParallelismPragma(set *sql.SetStmt) error {
-	word := ""
-	n, isInt := 0, false
-	switch v := set.Value.(type) {
-	case *expr.Const:
-		switch v.Val.Kind {
-		case vector.Int:
-			n, isInt = int(v.Val.I), true
-		case vector.Str:
-			word = strings.ToLower(v.Val.S)
-		}
-	case *expr.Col:
-		// Bare identifiers (`auto`, `default`) parse as column refs.
-		word = strings.ToLower(v.Name)
+	c, ok := set.Value.(*expr.Const)
+	if !ok || c.Val.Kind != vector.Int {
+		return fmt.Errorf("datacell: set parallelism expects an integer literal")
 	}
-	switch {
-	case isInt:
-		if set.On != "" {
-			return e.SetStreamParallelism(set.On, n)
-		}
-		return e.SetParallelism(n)
-	case word == "auto":
-		if set.On != "" {
-			return e.SetStreamParallelismAuto(set.On)
-		}
-		return e.SetParallelismAuto()
-	case word == "default":
-		if set.On == "" {
-			return fmt.Errorf("datacell: set parallelism = default needs 'on <stream>' (it clears a per-stream override)")
-		}
-		return e.ClearStreamParallelism(set.On)
-	}
-	return fmt.Errorf("datacell: set parallelism expects an integer literal, 'auto' or 'default'")
+	return e.SetParallelism(int(c.Val.I))
 }
 
 // registerScan adds a shareable query to its stream's group (phase 2, the
@@ -596,18 +549,9 @@ func (e *Engine) explainStatement(s sql.Statement) (string, error) {
 		pinned := false
 		ingestShards := 0
 		ingestPath := ""
-		auto := e.autoParallel
-		autoP := 1
-		var rewires int64
-		lastReason := ""
 		if g := e.groups[streamName]; g != nil {
 			members = len(g.scans)
 			forced = len(g.taps) > 0
-			auto = e.groupAutoLocked(g)
-			rewires = g.rewires
-			lastReason = g.lastRewireReason
-			par = e.groupParallelismLocked(g)
-			autoP = par
 			for _, l := range g.listeners {
 				ingestShards += len(l.Addrs())
 			}
@@ -622,8 +566,6 @@ func (e *Engine) explainStatement(s sql.Statement) (string, error) {
 				pinned = combined.Mode == plan.PartNone
 				verdict = combined
 			}
-		} else if auto {
-			par, autoP = 1, 1
 		}
 		e.mu.Unlock()
 		fmt.Fprintf(&b, "wiring: query group on stream %s, strategy %s (%d members installed)\n",
@@ -650,17 +592,6 @@ func (e *Engine) explainStatement(s sql.Statement) (string, error) {
 				fmt.Fprintf(&b, "wiring: catch-all partition prunes tuples outside %s from every clone\n",
 					verdict.Set())
 			}
-		}
-		if auto {
-			fmt.Fprintf(&b, "wiring: parallelism auto (controller target P=%d", autoP)
-			if pinned || verdict.Mode == plan.PartNone {
-				b.WriteString("; verdict clamps the group to 1, controller refuses scale-up")
-			}
-			fmt.Fprintf(&b, "; %d rewires", rewires)
-			if lastReason != "" {
-				fmt.Fprintf(&b, "; last: %s", lastReason)
-			}
-			b.WriteString(")\n")
 		}
 		if ingestShards > 0 {
 			fmt.Fprintf(&b, "ingest: %d receptor shard(s), delivering to %s\n", ingestShards, ingestPath)
@@ -1048,18 +979,6 @@ func (e *Engine) ListenIngest(streamName, addr string, o IngestOptions) (*Ingest
 	return l, nil
 }
 
-// ListenTCP attaches an ingest listener to a stream: every connection
-// received on the address streams tuples — binary frames or
-// pipe-separated lines, auto-detected — into the stream. It returns the
-// bound address. It is ListenIngest with a single shard.
-func (e *Engine) ListenTCP(streamName, addr string) (string, error) {
-	l, err := e.ListenIngest(streamName, addr, IngestOptions{})
-	if err != nil {
-		return "", err
-	}
-	return l.Addr(), nil
-}
-
 // ServeTCP attaches a TCP emitter to a continuous query's results. Every
 // connected client receives all subsequent result tuples, one line each.
 func (e *Engine) ServeTCP(query, addr string) (string, error) {
@@ -1106,16 +1025,10 @@ func (e *Engine) Start() error {
 	e.started = true
 	qes := e.subEmittersLocked()
 	touts := append([]*stream.TCPEmitter(nil), e.tcpOut...)
-	stop, done := make(chan struct{}), make(chan struct{})
-	e.adaptStop, e.adaptDone = stop, done
 	e.mu.Unlock()
 	if err := e.sch.Start(); err != nil {
 		return err
 	}
-	// The load metronome samples every group each tick; controllers act
-	// only on groups under `set parallelism = auto`, but the windowed
-	// rate fields of GroupInfo update for all.
-	go e.adaptLoop(stop, done)
 	for _, qe := range qes {
 		qe.em.Start()
 	}
@@ -1159,20 +1072,11 @@ func (e *Engine) Stop() {
 	}
 	touts := append([]*stream.TCPEmitter(nil), e.tcpOut...)
 	qes := e.subEmittersLocked()
-	stop, done := e.adaptStop, e.adaptDone
-	e.adaptStop, e.adaptDone = nil, nil
 	admin := e.admin
 	e.admin = nil
 	e.mu.Unlock()
 	if admin != nil {
 		admin.Close()
-	}
-	// The sampler goes first: a controller-driven rewire quiesces the
-	// ingest periphery, and closing listeners concurrently is fine, but
-	// no new rewires should start once shutdown is underway.
-	if stop != nil {
-		close(stop)
-		<-done
 	}
 	for _, l := range ins {
 		l.Close()

@@ -542,50 +542,6 @@ func TestSubscriptionCancelRace(t *testing.T) {
 	}
 }
 
-// TestDeprecatedSubscribeCompat keeps the old Subscribe seam pinned: it
-// must keep compiling and delivering Tables until the seam is dropped.
-func TestDeprecatedSubscribeCompat(t *testing.T) {
-	eng := New()
-	if _, err := eng.Exec(`create basket s (v int)`); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.RegisterQuery("q", `select * from [select * from s] t`); err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	rows := 0
-	//lint:ignore SA1019 the deprecated adapter is the unit under test
-	if err := eng.Subscribe("q", func(tb Table) {
-		mu.Lock()
-		rows += tb.Len()
-		mu.Unlock()
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Stop()
-	if err := eng.Append("s", Row{1}, Row{2}); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		n := rows
-		mu.Unlock()
-		if n >= 2 || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if rows != 2 {
-		t.Errorf("deprecated Subscribe delivered %d rows, want 2", rows)
-	}
-}
-
 // TestRemoveQueryCancelsSubscriptions pins the teardown contract: removing
 // a query detaches its subscriptions, and re-registering the same name
 // starts a fresh emitter with fresh numbering.

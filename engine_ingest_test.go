@@ -419,9 +419,9 @@ func TestIngestLiveReRoute(t *testing.T) {
 	}
 }
 
-// TestListenTCPSpeaksBothProtocols pins backwards compatibility: the
-// engine's plain ListenTCP accepts the old textual protocol and the new
-// binary frames on the same socket.
+// TestListenTCPSpeaksBothProtocols pins backwards compatibility: a
+// default single-shard ingest listener accepts the old textual protocol
+// and the new binary frames on the same socket.
 func TestListenTCPSpeaksBothProtocols(t *testing.T) {
 	eng := New()
 	defer eng.Stop()
@@ -431,10 +431,11 @@ func TestListenTCPSpeaksBothProtocols(t *testing.T) {
 	if err := eng.RegisterQuery("q", `select t.v from [select * from s] t`); err != nil {
 		t.Fatal(err)
 	}
-	addr, err := eng.ListenTCP("s", "127.0.0.1:0")
+	l, err := eng.ListenIngest("s", "127.0.0.1:0", IngestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	addr := l.Addr()
 	if err := eng.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -469,5 +470,94 @@ func TestListenTCPSpeaksBothProtocols(t *testing.T) {
 	}
 	if out.Len() != 3 {
 		t.Fatalf("query emitted %d rows, want 3", out.Len())
+	}
+}
+
+// TestSeparateRouteAtIngestActive pins the separate-strategy fan-out:
+// with partitioned members, receptor batches skip the stream basket,
+// the replicator and the splitters entirely — each member's partitioned
+// basket is fed directly — and results still come out exactly once.
+func TestSeparateRouteAtIngestActive(t *testing.T) {
+	eng := New()
+	defer eng.Stop()
+	if err := eng.SetStrategy(StrategySeparate); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.SetParallelism(4); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Exec(`create basket s (k int, v int)`); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.RegisterQuery("q", `select t.v from [select * from s where v >= 0 and v < 1000] t`); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.RegisterQuery("g", `select t.k, count(*) as n from [select * from s] t group by t.k`); err != nil {
+		t.Fatal(err)
+	}
+	l, err := eng.ListenIngest("s", "127.0.0.1:0", IngestOptions{Shards: 2, BatchSize: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var found bool
+	for _, g := range eng.Groups() {
+		if g.Stream == "s" {
+			found = true
+			if !strings.HasPrefix(g.IngestPath, "route-at-ingest") {
+				t.Fatalf("ingest path = %q, want route-at-ingest fan-out", g.IngestPath)
+			}
+		}
+	}
+	if !found {
+		t.Fatal("stream s missing from Groups")
+	}
+	if err := eng.Start(); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", l.Addrs()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	bw := ingest.NewBatchWriter(conn, []string{"k", "v"}, []vector.Type{vector.Int, vector.Int}, 32)
+	const n = 2000
+	for i := 0; i < n; i++ {
+		if err := bw.WriteRow(vector.NewInt(int64(i%16)), vector.NewInt(int64(i%1000))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+	waitIngested(t, eng, "s", n)
+	if !eng.Drain(30 * time.Second) {
+		t.Fatal("engine did not drain")
+	}
+	// The stream basket never saw the tuples: the fan-out delivered each
+	// member's copy directly.
+	eng.mu.Lock()
+	streamAppended := eng.groups["s"].stream.Stats().Appended
+	eng.mu.Unlock()
+	if streamAppended != 0 {
+		t.Fatalf("stream basket ingested %d tuples; separate route-at-ingest should have bypassed it", streamAppended)
+	}
+	out, err := eng.Out("q")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Len() != n {
+		t.Fatalf("query q emitted %d rows, want %d", out.Len(), n)
+	}
+	gout, err := eng.Out("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	tbl := tableOf(gout.Snapshot())
+	for _, r := range tbl.Rows {
+		total += r[1].(int64)
+	}
+	if total != n {
+		t.Fatalf("grouped counts sum to %d, want %d", total, n)
 	}
 }

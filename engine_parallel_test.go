@@ -2,43 +2,69 @@ package datacell
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-// parallelWorkload feeds a randomized stream through a fixed query mix at
-// the given strategy and parallelism, draining synchronously after every
-// batch, and returns each query's full output as a sorted row multiset.
-// withNonPartitionable adds a TOP-window query whose verdict is "none":
-// under the separate strategy it exercises partitioned and unpartitioned
-// members coexisting in one group; under shared/partial it would pin the
-// whole group to one partition, defeating the differential, so it is
-// omitted there.
-func parallelWorkload(t *testing.T, strategy Strategy, parallelism int, withNonPartitionable bool, seed int64) map[string][]string {
+// parallelQueries is the mix of the static differential: two range
+// filters and a grouped count/sum.
+var parallelQueries = []NamedQuery{
+	{Name: "rr1", SQL: `select t.v from [select * from s where v < 400] t`},
+	{Name: "rr2", SQL: `select t.k, t.v from [select * from s where v >= 300 and v < 700] t where t.v % 2 = 0`},
+	{Name: "agg", SQL: `select t.k, count(*) as n, sum(t.v) as total from [select * from s where v >= 100] t group by t.k`},
+}
+
+// trajectoryQueries is the mix of the trajectory differential: a range
+// query whose verdict routes with a catch-all, and a grouped avg query
+// whose partitioned wiring stages partial aggregates and merges them
+// with the combining merge (two-phase aggregation).
+var trajectoryQueries = []NamedQuery{
+	{Name: "rng", SQL: `select t.v from [select * from s where v >= 200 and v < 600] t`},
+	{Name: "agg", SQL: `select t.k, avg(t.v) as a, count(*) as n from [select * from s where v < 800] t group by t.k`},
+}
+
+// topQuery is a TOP-window member whose verdict is "none": under the
+// separate strategy it exercises partitioned and unpartitioned members
+// coexisting in one group; under shared/partial it would pin the whole
+// group to one partition, defeating the differentials, so they add it
+// under separate only.
+var topQuery = NamedQuery{Name: "np", SQL: `select t.v from [select top 5 * from s] t`}
+
+// midCycleQueries pairs a range filter with a grouped count and sum over
+// an overlapping range. Under the shared strategy a tuple in the overlap
+// is covered by whichever reader fires first, so a cycle cut between the
+// two readers holds tuples one member has seen and the other has not.
+var midCycleQueries = []NamedQuery{
+	{Name: "rng", SQL: `select t.v from [select * from s where v >= 200 and v < 600] t`},
+	{Name: "agg", SQL: `select t.k, count(*) as n, sum(t.v) as total from [select * from s where v < 800] t group by t.k`},
+}
+
+// parallelWorkload feeds a randomized stream through queries at the
+// given strategy, draining synchronously after every batch, and returns
+// each query's full output as a sorted row multiset. The engine starts
+// at parallelism ps[0]; each further entry is applied with
+// SetParallelism in turn, with a batch still undrained, so the rewire
+// must carry the in-flight tuples over to the new wiring. With fires > 0
+// that many firings run first, so the rewire also cuts the old wiring
+// mid-flight.
+func parallelWorkload(t *testing.T, strategy Strategy, queries []NamedQuery, ps []int, seed int64, fires int) map[string][]string {
 	t.Helper()
 	eng := New()
 	if err := eng.SetStrategy(strategy); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SetParallelism(parallelism); err != nil {
+	if err := eng.SetParallelism(ps[0]); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.Exec(`create basket s (k int, v int)`); err != nil {
 		t.Fatal(err)
-	}
-	queries := []NamedQuery{
-		{Name: "rr1", SQL: `select t.v from [select * from s where v < 400] t`},
-		{Name: "rr2", SQL: `select t.k, t.v from [select * from s where v >= 300 and v < 700] t where t.v % 2 = 0`},
-		{Name: "agg", SQL: `select t.k, count(*) as n, sum(t.v) as total from [select * from s where v >= 100] t group by t.k`},
-	}
-	if withNonPartitionable {
-		queries = append(queries, NamedQuery{
-			Name: "np", SQL: `select t.v from [select top 5 * from s] t`,
-		})
 	}
 	if err := eng.RegisterQueries(queries); err != nil {
 		t.Fatal(err)
@@ -52,6 +78,16 @@ func parallelWorkload(t *testing.T, strategy Strategy, parallelism int, withNonP
 		}
 		if err := eng.Append("s", rows...); err != nil {
 			t.Fatal(err)
+		}
+		if step := 1 + batch/3; batch%3 == 1 && step < len(ps) {
+			if fires > 0 {
+				if _, err := eng.sch.RunUntilQuiescent(fires); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := eng.SetParallelism(ps[step]); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := eng.RunSync(); err != nil {
 			t.Fatal(err)
@@ -78,6 +114,29 @@ func parallelWorkload(t *testing.T, strategy Strategy, parallelism int, withNonP
 	return got
 }
 
+// sameOutputs fails t unless got holds, query by query, the same
+// non-empty sorted row multisets as want.
+func sameOutputs(t *testing.T, label string, want, got map[string][]string) {
+	t.Helper()
+	for name, w := range want {
+		g := got[name]
+		if len(w) == 0 {
+			t.Errorf("%s: workload produced no rows; differential is vacuous", name)
+			continue
+		}
+		if len(g) != len(w) {
+			t.Errorf("%s: %s produced %d rows, P=1 produced %d", name, label, len(g), len(w))
+			continue
+		}
+		for i := range w {
+			if g[i] != w[i] {
+				t.Errorf("%s: row %d differs: %s %q vs P=1 %q", name, i, label, g[i], w[i])
+				break
+			}
+		}
+	}
+}
+
 // TestParallelDifferential asserts that partitioned execution is
 // result-equivalent to single-partition execution: for every sharing
 // strategy, the same randomized stream through the same query mix yields
@@ -85,23 +144,73 @@ func parallelWorkload(t *testing.T, strategy Strategy, parallelism int, withNonP
 func TestParallelDifferential(t *testing.T) {
 	for _, strategy := range []Strategy{StrategySeparate, StrategyShared, StrategyPartial} {
 		t.Run(string(strategy), func(t *testing.T) {
-			withNP := strategy == StrategySeparate
-			base := parallelWorkload(t, strategy, 1, withNP, 42)
-			part := parallelWorkload(t, strategy, 4, withNP, 42)
-			for name, want := range base {
-				gotRows := part[name]
-				if len(gotRows) != len(want) {
-					t.Errorf("%s: P=4 produced %d rows, P=1 produced %d", name, len(gotRows), len(want))
-					continue
+			queries := parallelQueries
+			if strategy == StrategySeparate {
+				queries = append(queries[:len(queries):len(queries)], topQuery)
+			}
+			base := parallelWorkload(t, strategy, queries, []int{1}, 42, 0)
+			part := parallelWorkload(t, strategy, queries, []int{4}, 42, 0)
+			sameOutputs(t, "P=4", base, part)
+		})
+	}
+}
+
+// TestParallelismTrajectoryDifferential rewires across partition counts
+// mid-stream — widen, widen more, collapse, rewiden — each time with a
+// batch still undrained, so tuples keep migrating across wirings of
+// different width while results accumulate. For every sharing strategy
+// the output must equal static P=1, including the range query's
+// catch-all routing and the avg query's two-phase partial-aggregate
+// merge.
+func TestParallelismTrajectoryDifferential(t *testing.T) {
+	for _, strategy := range []Strategy{StrategySeparate, StrategyShared, StrategyPartial} {
+		t.Run(string(strategy), func(t *testing.T) {
+			queries := trajectoryQueries
+			if strategy == StrategySeparate {
+				queries = append(queries[:len(queries):len(queries)], topQuery)
+			}
+			want := parallelWorkload(t, strategy, queries, []int{1}, 99, 0)
+			got := parallelWorkload(t, strategy, queries, []int{1, 2, 4, 1, 3}, 99, 0)
+			sameOutputs(t, "P trajectory 1→2→4→1→3", want, got)
+		})
+	}
+}
+
+// TestRewireMidCycleKeepsEveryTuple runs the P trajectory of the
+// differential above, but fires the wiring a few times before each
+// rewire, so the teardown catches it mid-flight: a shared cycle between
+// its readers, tuples spread over the stream, partitions, delete chains
+// and staging baskets. The firing boundaries then differ from the P=1
+// run, and a grouped query may split one key of a batch over two rows,
+// so the test compares what boundaries cannot change: the filter's rows,
+// and each key's total count and sum.
+func TestRewireMidCycleKeepsEveryTuple(t *testing.T) {
+	totals := func(rows []string) map[string][2]int64 {
+		m := map[string][2]int64{}
+		for _, r := range rows {
+			f := strings.Split(r, "|")
+			n, _ := strconv.ParseInt(f[1], 10, 64)
+			sum, _ := strconv.ParseInt(f[2], 10, 64)
+			tot := m[f[0]]
+			m[f[0]] = [2]int64{tot[0] + n, tot[1] + sum}
+		}
+		return m
+	}
+	for _, strategy := range []Strategy{StrategySeparate, StrategyShared, StrategyPartial} {
+		t.Run(string(strategy), func(t *testing.T) {
+			for fires := 1; fires <= 6; fires++ {
+				seed := int64(fires)
+				want := parallelWorkload(t, strategy, midCycleQueries, []int{1}, seed, 0)
+				got := parallelWorkload(t, strategy, midCycleQueries, []int{1, 2, 4, 1, 3}, seed, fires)
+				if !slices.Equal(got["rng"], want["rng"]) {
+					t.Errorf("%d fires before each rewire: rng emitted %d rows, P=1 emitted %d", fires, len(got["rng"]), len(want["rng"]))
 				}
-				for i := range want {
-					if gotRows[i] != want[i] {
-						t.Errorf("%s: row %d differs: P=4 %q vs P=1 %q", name, i, gotRows[i], want[i])
-						break
-					}
+				w, g := totals(want["agg"]), totals(got["agg"])
+				if len(w) == 0 {
+					t.Fatal("agg produced no rows; the test is vacuous")
 				}
-				if len(want) == 0 {
-					t.Errorf("%s: workload produced no rows; differential is vacuous", name)
+				if !maps.Equal(g, w) {
+					t.Errorf("%d fires before each rewire: agg per-key [count sum] %v, P=1 %v", fires, g, w)
 				}
 			}
 		})
@@ -165,6 +274,84 @@ func TestParallelismPragma(t *testing.T) {
 	}
 	if err := eng.SetParallelism(-3); err == nil {
 		t.Fatal("SetParallelism(-3) should be rejected")
+	}
+}
+
+// TestParallelismPragmas covers the SQL surface of parallelism: an
+// integer literal rewires the groups, and every other form — the retired
+// auto and default values, a string, a per-stream `on` suffix on either
+// pragma — is rejected without touching the setting.
+func TestParallelismPragmas(t *testing.T) {
+	eng := New()
+	if _, err := eng.Exec(`create basket s (k int, v int)`); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.RegisterQueries(trajectoryQueries); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Exec(`set parallelism = 3`); err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.Parallelism(); got != 3 {
+		t.Fatalf("Parallelism() = %d after `set parallelism = 3`, want 3", got)
+	}
+	if gs := eng.Groups(); len(gs) != 1 || gs[0].Partitions != 3 {
+		t.Fatalf("after `set parallelism = 3`: %+v, want one group over 3 partitions", gs)
+	}
+	for _, bad := range []string{
+		`set parallelism = auto`,
+		`set parallelism = default`,
+		`set parallelism = 'sideways'`,
+		`set parallelism = 3 on s`,
+		`set strategy = 'shared' on s`,
+	} {
+		if _, err := eng.Exec(bad); err == nil {
+			t.Errorf("%s: expected an error", bad)
+		}
+		if got := eng.Parallelism(); got != 3 {
+			t.Errorf("%s: Parallelism() = %d, want it left at 3", bad, got)
+		}
+	}
+	if got := eng.Strategy(); got != StrategySeparate {
+		t.Errorf("Strategy() = %s after the rejected `on s` pragma, want separate", got)
+	}
+}
+
+// TestParallelismBound asserts a partition count above the bound is
+// refused before any rewire, through every entry point: the setting
+// stays and no wiring is rebuilt. (Nothing here wires at a large P: a
+// wiring at P spawns one goroutine per clone.)
+func TestParallelismBound(t *testing.T) {
+	eng := New(WithParallelism(2))
+	if _, err := eng.Exec(`create basket s (k int, v int)`); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.RegisterQueries(trajectoryQueries); err != nil {
+		t.Fatal(err)
+	}
+	rewires := func() (n int) {
+		for _, ev := range eng.Events() {
+			if ev.Kind == "rewire" {
+				n++
+			}
+		}
+		return n
+	}
+	before := rewires()
+	if err := eng.SetParallelism(maxParallelism + 1); err == nil {
+		t.Errorf("SetParallelism(%d) should be rejected", maxParallelism+1)
+	}
+	if _, err := eng.Exec(`set parallelism = 100000000`); err == nil {
+		t.Error("set parallelism = 100000000 should be rejected")
+	}
+	if got := eng.Parallelism(); got != 2 {
+		t.Errorf("Parallelism() = %d after rejected settings, want 2", got)
+	}
+	if after := rewires(); after != before {
+		t.Errorf("rejected settings recorded %d rewire events", after-before)
+	}
+	if err := New(WithParallelism(maxParallelism + 1)).Err(); err == nil {
+		t.Errorf("WithParallelism(%d) should fail construction", maxParallelism+1)
 	}
 }
 

@@ -139,10 +139,11 @@ func TestEngineTCPRoundTrip(t *testing.T) {
 	if err := eng.RegisterQuery("all", `select * from [select * from s] t`); err != nil {
 		t.Fatal(err)
 	}
-	inAddr, err := eng.ListenTCP("s", "127.0.0.1:0")
+	in, err := eng.ListenIngest("s", "127.0.0.1:0", IngestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	inAddr := in.Addr()
 	var mu sync.Mutex
 	count := 0
 	if _, err := eng.SubscribeQuery("all", SubscribeOptions{OnEmit: func(em Emit) {

@@ -57,10 +57,11 @@ func main() {
 	}
 	fmt.Print("plan:\n" + plan)
 
-	inAddr, err := eng.ListenTCP("flows", "127.0.0.1:0")
+	in, err := eng.ListenIngest("flows", "127.0.0.1:0", datacell.IngestOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	inAddr := in.Addr()
 	outAddr, err := eng.ServeTCP("elephants", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"datacell/internal/adapt"
 	"datacell/internal/basket"
 	"datacell/internal/bat"
 	"datacell/internal/core"
@@ -99,41 +98,12 @@ type queryGroup struct {
 	ingest    *ingest.SwitchTarget
 	listeners []*IngestListener
 
-	// Adaptive-parallelism state. override is the per-group parallelism:
-	// 0 inherits the engine setting, -1 follows the controller, >0 pins
-	// the group. ctl/ctlP are the group's controller and its current
-	// target (valid while the group is auto); rewires and
-	// lastRewireReason account for every wiring rebuild over the group's
-	// lifetime (pendingReason is set by the caller that triggers one).
-	override         int
-	ctl              *adapt.Controller
-	ctlP             int
+	// rewires and lastRewireReason account for every wiring rebuild over
+	// the group's lifetime (pendingReason is set by the caller that
+	// triggers one).
 	rewires          int64
 	lastRewireReason string
 	pendingReason    string
-
-	// Load-sampling baselines: the controller and GroupInfo work on
-	// windowed deltas, so each metronome tick subtracts the previous
-	// totals. sampleGen invalidates the factory baselines across rewires
-	// (fresh factories restart their counters).
-	lastSampleAt  time.Time
-	sampleGen     int
-	lastBusy      time.Duration
-	lastFires     int64
-	lastIngTuples int64
-	lastIngStalls int64
-	lastIngStallT time.Duration
-	rates         groupRates
-}
-
-// groupRates is the windowed ingest activity of one group: deltas over
-// the last sampling window rather than lifetime totals, so explain and
-// Groups show current load.
-type groupRates struct {
-	window         time.Duration
-	tuplesPerSec   float64
-	stallsDelta    int64
-	stallTimeDelta time.Duration
 }
 
 // target returns the group's ingest delivery target, created on first
@@ -303,11 +273,21 @@ func (e *Engine) rewireInnerLocked(g *queryGroup) error {
 		e.sch.Unregister(f)
 		f.WaitIdle()
 	}
-	// Complete a shared cycle torn down midway: tuples some reader already
-	// emitted carry cover credits, and the unlocker that would have
-	// removed them is gone — delete them now or the rebuilt wiring scans
-	// them again and emits duplicates. A no-op outside shared wiring
-	// (no credits are ever recorded).
+	// Finish a shared cycle torn down midway. Its locker handed every
+	// reader the same blocked batch; the readers that have not fired yet
+	// must still see it, and the ones that did must not see it again. So
+	// the pending readers fire now (a reader without its go token does
+	// not), and the unlocker's work follows: delete every tuple some
+	// reader covered, or the rebuilt wiring scans it again and emits
+	// duplicates, and reopen the basket. A reader's error is counted on
+	// its factory, as for any firing.
+	if g.effective == StrategyShared {
+		for _, m := range g.scans {
+			for _, f := range m.factories {
+				f.FireRetired() //nolint:errcheck // counted on the factory
+			}
+		}
+	}
 	g.stream.Lock()
 	g.stream.DeleteCoveredLocked(1)
 	g.stream.Unlock()
@@ -352,10 +332,6 @@ func (e *Engine) rewireInnerLocked(g *queryGroup) error {
 	} else {
 		g.lastRewireReason = "membership or configuration change"
 	}
-	// Fresh factories restart their fire/busy counters; invalidate the
-	// sampler's baselines so the next tick reports a zero delta instead of
-	// a negative one.
-	g.sampleGen = -1
 	if len(g.scans) == 0 && len(g.taps) == 0 {
 		return nil
 	}
@@ -463,7 +439,7 @@ func (e *Engine) wireSeparateLocked(g *queryGroup, prefix string) ([]*core.Facto
 // replica.
 func (e *Engine) wireMemberLocked(g *queryGroup, prefix string, m *groupMember) ([]*core.Factory, error) {
 	sq := m.scan.StreamQuery()
-	p := e.groupParallelismLocked(g)
+	p := e.parallelism
 	if p <= 1 || m.scan.Part.Mode == plan.PartNone {
 		f, err := core.NewStreamQueryFactory(prefix+".q."+m.name, m.priv, sq)
 		if err != nil {
@@ -518,7 +494,7 @@ func newPartitionedBasket(name string, names []string, types []vector.Type, p in
 // directly, so partitioning applies group-wide: every member must accept
 // the same split, otherwise the group stays at one partition.
 func (e *Engine) wireSharedChainLocked(g *queryGroup, prefix string) ([]*core.Factory, error) {
-	p := e.groupParallelismLocked(g)
+	p := e.parallelism
 	verdict := g.partitioning()
 	if p > 1 && verdict.Mode != plan.PartNone {
 		names, types := g.stream.UserSchema()
@@ -699,22 +675,29 @@ func (e *Engine) Strategy() Strategy {
 	return e.strategy
 }
 
+// maxParallelism bounds the partition count SetParallelism accepts. A
+// wiring at P allocates P partition baskets, P query clones with their
+// staging baskets and one scheduler goroutine per clone, so an unbounded
+// P (a typo in a script) would exhaust the process at the next rewire.
+const maxParallelism = 256
+
 // SetParallelism sets the number of stream partitions partitionable
 // continuous queries run over and rewires every stream's query group. It
 // can be called while the engine runs; in-flight tuples migrate to the new
 // wiring. P=1 restores the unpartitioned wiring; plans whose verdict is
-// not partitionable keep a single factory regardless of P.
+// not partitionable keep a single factory regardless of P. P>1 pays off
+// only on boxes with idle cores: each partition is one more scheduler
+// goroutine competing for the CPU.
 func (e *Engine) SetParallelism(p int) error {
-	if p < 1 {
-		return fmt.Errorf("datacell: parallelism must be at least 1, got %d", p)
+	if p < 1 || p > maxParallelism {
+		return fmt.Errorf("datacell: parallelism must be between 1 and %d, got %d", maxParallelism, p)
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.parallelism == p && !e.autoParallel {
+	if e.parallelism == p {
 		return nil
 	}
 	e.parallelism = p
-	e.autoParallel = false
 	for _, g := range e.groups {
 		g.pendingReason = fmt.Sprintf("parallelism pinned to %d", p)
 	}
@@ -783,34 +766,17 @@ type GroupInfo struct {
 	// listener.
 	Receptors []IngestStats
 	// IngestTuples, IngestStalls and IngestStallTime aggregate the
-	// receptor counters across all shards. They are lifetime totals; the
-	// IngestWindow/…Delta fields below carry the windowed view.
+	// receptor counters across all shards. They are lifetime totals; a
+	// reader wanting rates takes the deltas of two snapshots.
 	IngestTuples    int64
 	IngestStalls    int64
 	IngestStallTime time.Duration
 
-	// AutoParallelism reports whether the adaptive controller drives this
-	// group's partition count (`set parallelism = auto`, engine-wide or
-	// per stream). CurrentP is the wiring target the controller (or the
-	// static setting) currently asks for — it can exceed Partitions when
-	// the group's plans are not partitionable and the wiring stays at 1.
-	AutoParallelism bool
-	CurrentP        int
 	// Rewires counts wiring rebuilds over the group's lifetime
-	// (registration, strategy/parallelism changes, controller decisions);
-	// LastRewireReason says why the most recent one happened.
+	// (registration, strategy/parallelism changes); LastRewireReason says
+	// why the most recent one happened.
 	Rewires          int64
 	LastRewireReason string
-	// Windowed ingest-load deltas, updated on each sampler tick (zero
-	// until the engine has started and a tick has run, or ManualAdaptTick
-	// has been called): the length of the last sampling window, the
-	// ingest rate over it, and how many receptor stalls / how much stall
-	// time accrued within it. Unlike the cumulative counters above these
-	// answer "is the group backpressured *now*".
-	IngestWindow         time.Duration
-	IngestTuplesPerSec   float64
-	IngestStallsDelta    int64
-	IngestStallTimeDelta time.Duration
 }
 
 // Groups reports the current multi-query wiring of every stream that has
@@ -835,18 +801,12 @@ func (e *Engine) groupsLocked() []GroupInfo {
 			continue
 		}
 		gi := GroupInfo{
-			Stream:               n,
-			Strategy:             g.effective,
-			Partitions:           g.parallel,
-			Taps:                 len(g.taps),
-			AutoParallelism:      e.groupAutoLocked(g),
-			CurrentP:             e.groupParallelismLocked(g),
-			Rewires:              g.rewires,
-			LastRewireReason:     g.lastRewireReason,
-			IngestWindow:         g.rates.window,
-			IngestTuplesPerSec:   g.rates.tuplesPerSec,
-			IngestStallsDelta:    g.rates.stallsDelta,
-			IngestStallTimeDelta: g.rates.stallTimeDelta,
+			Stream:           n,
+			Strategy:         g.effective,
+			Partitions:       g.parallel,
+			Taps:             len(g.taps),
+			Rewires:          g.rewires,
+			LastRewireReason: g.lastRewireReason,
 		}
 		if len(g.listeners) > 0 {
 			gi.IngestPath = g.target().Peek().Describe()

@@ -1,7 +1,7 @@
 // Package core implements the DataCell kernel: factories (continuous-query
 // plans whose execution state is saved between calls), the Petri-net
-// scheduler that fires them, the shared-basket and partial-delete
-// processing strategies, and the metronome/heartbeat utilities.
+// scheduler that fires them, and the shared-basket and partial-delete
+// processing strategies.
 //
 // Baskets are the Petri-net places, tuples the tokens; receptors, factories
 // and emitters are the transitions. A factory fires when each of its input
@@ -180,10 +180,9 @@ func (f *Factory) Fires() int64 { return f.fires.Load() }
 func (f *Factory) Errors() int64 { return f.errs.Load() }
 
 // Busy returns the cumulative time firings spent executing the factory
-// body. Together with Fires it is the utilisation signal the adaptive
-// parallelism controller samples: busy clones justify their partitions,
-// idle ones get merged away. Maintained with two clock reads and one
-// atomic add per firing — no locks, no allocations.
+// body: the fire stage explain analyze and the metrics report.
+// Maintained with two clock reads and one atomic add per firing — no
+// locks, no allocations.
 func (f *Factory) Busy() time.Duration { return time.Duration(f.busy.Load()) }
 
 // LastError returns the most recent body error, or nil.
@@ -266,7 +265,21 @@ func (f *Factory) TryFire() (bool, error) {
 		// by WaitIdle is therefore a full quiesce of this factory.
 		return false, nil
 	}
+	return f.fire()
+}
 
+// FireRetired is TryFire for a factory already unregistered and waited
+// idle: the caller, which owns the torn-down wiring, runs one last firing
+// on the calling goroutine if the firing rule holds. A rewire uses it to
+// finish a shared-baskets cycle the teardown interrupted.
+func (f *Factory) FireRetired() (bool, error) {
+	f.runMu.Lock()
+	defer f.runMu.Unlock()
+	return f.fire()
+}
+
+// fire is the body of TryFire: lock, re-check, run. Caller holds runMu.
+func (f *Factory) fire() (bool, error) {
 	for _, b := range f.lockSet {
 		b.Lock()
 	}

@@ -1,7 +1,9 @@
 // Package obs is the engine's self-monitoring layer: a dependency-free
-// metrics registry (atomic counters, gauges and log-bucketed histograms
-// with zero allocation on the record path) plus a bounded ring-buffer
-// event trace (trace.go). The paper argues that running streams through a
+// metrics registry (atomic counters with zero allocation on the record
+// path, plus counters computed at collection time), the Prometheus text
+// writers the engine renders its snapshot-derived families and
+// log-bucketed latency histograms with, and a bounded ring-buffer event
+// trace (trace.go). The paper argues that running streams through a
 // relational kernel inherits the DBMS's mature machinery; a DBMS you
 // cannot ask where time goes is not mature machinery, so every subsystem
 // registers its counters here and the admin server renders them in the
@@ -9,9 +11,9 @@
 //
 // Hot-path discipline: a metric handle is obtained once, at wiring time;
 // recording through it is a couple of atomic operations and never
-// allocates (pinned by AllocsPerRun tests). Collection — WritePrometheus,
-// Samples — walks the registry under its mutex and may allocate freely;
-// it runs at scrape rate, not at tuple rate.
+// allocates (pinned by AllocsPerRun tests). Collection — WritePrometheus —
+// walks the registry under its mutex and may allocate freely; it runs at
+// scrape rate, not at tuple rate.
 //
 // Unit convention: a series whose name ends in "_seconds" or
 // "_seconds_total" stores nanoseconds internally; the writers convert to
@@ -27,7 +29,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"datacell/internal/histo"
 )
@@ -46,66 +47,25 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is a metric that can go up and down.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores n.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adds n.
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// Histogram records a distribution of int64 samples (nanoseconds by
-// convention) into fixed log-spaced buckets — a thin named wrapper over
-// internal/histo. Recording is lock-free and allocation-free; it is
-// exported as a Prometheus summary with p50/p99/p99.9 quantiles plus
-// _count and _max companions.
-type Histogram struct{ H histo.H }
-
-// Record adds one duration sample.
-func (h *Histogram) Record(d time.Duration) { h.H.Record(d) }
-
-// RecordValue adds one raw sample.
-func (h *Histogram) RecordValue(v int64) { h.H.RecordValue(v) }
-
-// kind discriminates the series types a Registry holds.
-type kind uint8
-
-const (
-	kindCounter kind = iota
-	kindGauge
-	kindHistogram
-	kindCounterFunc
-)
-
-func (k kind) prom() string {
-	switch k {
-	case kindCounter, kindCounterFunc:
-		return "counter"
-	case kindHistogram:
-		return "summary"
-	}
-	return "gauge"
-}
-
 // series is one registered time series: a metric family name plus one
 // label set and the handle holding (or computing) its value.
 type series struct {
 	labels  string // pre-rendered {k="v",…}, "" for unlabelled
 	counter *Counter
-	gauge   *Gauge
-	hist    *Histogram
-	fn      func() int64
+	fn      func() int64 // set instead of counter by CounterFunc
+}
+
+func (s *series) value() int64 {
+	if s.fn != nil {
+		return s.fn()
+	}
+	return s.counter.Value()
 }
 
 // family groups the series of one metric name, so HELP/TYPE render once.
 type family struct {
 	name   string
 	help   string
-	typ    kind
 	series []*series
 }
 
@@ -147,12 +107,12 @@ func Labels(kv ...string) string {
 	return b.String()
 }
 
-func (r *Registry) add(name, help string, typ kind, s *series) {
+func (r *Registry) add(name, help string, s *series) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f := r.byName[name]
 	if f == nil {
-		f = &family{name: name, help: help, typ: typ}
+		f = &family{name: name, help: help}
 		r.byName[name] = f
 		r.families = append(r.families, f)
 	}
@@ -163,23 +123,8 @@ func (r *Registry) add(name, help string, typ kind, s *series) {
 // label set from Labels (or "").
 func (r *Registry) Counter(name, help, labels string) *Counter {
 	c := &Counter{}
-	r.add(name, help, kindCounter, &series{labels: labels, counter: c})
+	r.add(name, help, &series{labels: labels, counter: c})
 	return c
-}
-
-// Gauge registers and returns a gauge series.
-func (r *Registry) Gauge(name, help, labels string) *Gauge {
-	g := &Gauge{}
-	r.add(name, help, kindGauge, &series{labels: labels, gauge: g})
-	return g
-}
-
-// Histogram registers and returns a histogram series, exported as a
-// summary (quantiles 0.5, 0.99, 0.999 plus _count and _max).
-func (r *Registry) Histogram(name, help, labels string) *Histogram {
-	h := &Histogram{}
-	r.add(name, help, kindHistogram, &series{labels: labels, hist: h})
-	return h
 }
 
 // CounterFunc registers a counter whose value is computed at collection
@@ -187,32 +132,7 @@ func (r *Registry) Histogram(name, help, labels string) *Histogram {
 // fn runs under no registry lock ordering guarantees and must not call
 // back into the registry.
 func (r *Registry) CounterFunc(name, help, labels string, fn func() int64) {
-	r.add(name, help, kindCounterFunc, &series{labels: labels, fn: fn})
-}
-
-// Unregister removes every series of the family that records through the
-// given handle (a *Counter, *Gauge or *Histogram previously returned by
-// this registry). Families left empty disappear from the output. It is
-// how per-query series leave the registry when their query is removed.
-func (r *Registry) Unregister(handle any) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for fi := 0; fi < len(r.families); fi++ {
-		f := r.families[fi]
-		kept := f.series[:0]
-		for _, s := range f.series {
-			if s.counter == handle || s.gauge == handle || s.hist == handle {
-				continue
-			}
-			kept = append(kept, s)
-		}
-		f.series = kept
-		if len(f.series) == 0 {
-			delete(r.byName, f.name)
-			r.families = append(r.families[:fi], r.families[fi+1:]...)
-			fi--
-		}
-	}
+	r.add(name, help, &series{labels: labels, fn: fn})
 }
 
 // secondsScaled reports whether the family name carries the seconds unit
@@ -228,7 +148,7 @@ func formatValue(name string, v int64) string {
 	return strconv.FormatInt(v, 10)
 }
 
-// quantiles exported for every histogram series.
+// quantiles exported for every summary.
 var histQuantiles = []struct {
 	label string
 	q     float64
@@ -243,25 +163,13 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	r.mu.Unlock()
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 	for _, f := range fams {
-		if f.help != "" {
-			fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help)
-		}
-		fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.typ.prom())
+		WriteFamilyHeader(w, f.name, f.help, "counter")
 		r.mu.Lock()
 		ss := make([]*series, len(f.series))
 		copy(ss, f.series)
 		r.mu.Unlock()
 		for _, s := range ss {
-			switch f.typ {
-			case kindCounter:
-				fmt.Fprintf(w, "%s%s %s\n", f.name, s.labels, formatValue(f.name, s.counter.Value()))
-			case kindGauge:
-				fmt.Fprintf(w, "%s%s %s\n", f.name, s.labels, formatValue(f.name, s.gauge.Value()))
-			case kindCounterFunc:
-				fmt.Fprintf(w, "%s%s %s\n", f.name, s.labels, formatValue(f.name, s.fn()))
-			case kindHistogram:
-				WriteSummary(w, f.name, s.labels, &s.hist.H)
-			}
+			WriteSample(w, f.name, s.labels, s.value())
 		}
 	}
 }
@@ -300,58 +208,4 @@ func mergeLabels(labels, extra string) string {
 		return "{" + extra + "}"
 	}
 	return labels[:len(labels)-1] + "," + extra + "}"
-}
-
-// Sample is one collected value, the JSON-friendly form of a series that
-// Samples returns. (/snapshot and the CLI's \stats read engine snapshots,
-// not Samples.)
-type Sample struct {
-	Name   string  `json:"name"`
-	Labels string  `json:"labels,omitempty"`
-	Value  float64 `json:"value"`
-}
-
-// Samples collects every series (histograms expand to quantile samples),
-// sorted by name then labels.
-func (r *Registry) Samples() []Sample {
-	r.mu.Lock()
-	fams := make([]*family, len(r.families))
-	copy(fams, r.families)
-	r.mu.Unlock()
-	var out []Sample
-	for _, f := range fams {
-		r.mu.Lock()
-		ss := make([]*series, len(f.series))
-		copy(ss, f.series)
-		r.mu.Unlock()
-		for _, s := range ss {
-			switch f.typ {
-			case kindCounter:
-				out = append(out, sampleOf(f.name, s.labels, s.counter.Value()))
-			case kindGauge:
-				out = append(out, sampleOf(f.name, s.labels, s.gauge.Value()))
-			case kindCounterFunc:
-				out = append(out, sampleOf(f.name, s.labels, s.fn()))
-			case kindHistogram:
-				for _, hq := range histQuantiles {
-					out = append(out, sampleOf(f.name, mergeLabels(s.labels, `quantile="`+hq.label+`"`), int64(s.hist.H.Quantile(hq.q))))
-				}
-				out = append(out, sampleOf(f.name+"_count", s.labels, s.hist.H.Count()))
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return out[i].Labels < out[j].Labels
-	})
-	return out
-}
-
-func sampleOf(name, labels string, v int64) Sample {
-	if secondsScaled(name) {
-		return Sample{Name: name, Labels: labels, Value: float64(v) / 1e9}
-	}
-	return Sample{Name: name, Labels: labels, Value: float64(v)}
 }

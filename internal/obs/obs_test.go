@@ -4,25 +4,18 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"datacell/internal/histo"
 )
 
-// TestRecordPathAllocs pins the tentpole's hot-path contract: recording
-// through a counter, gauge or histogram handle allocates nothing. These
-// handles sit inside the firing cycle and the ingest deliver loop, both
-// of which are gated by AllocsPerRun budgets upstream.
+// TestRecordPathAllocs pins the hot-path contract: recording through a
+// counter handle allocates nothing. These handles sit on control paths
+// that the engine's AllocsPerRun budgets also cover.
 func TestRecordPathAllocs(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("datacell_test_total", "t", "")
-	g := r.Gauge("datacell_test", "t", "")
-	h := r.Histogram("datacell_test_seconds", "t", "")
 	if a := testing.AllocsPerRun(1000, func() { c.Add(3); c.Inc() }); a != 0 {
 		t.Fatalf("Counter record path allocates %.1f per run, want 0", a)
-	}
-	if a := testing.AllocsPerRun(1000, func() { g.Set(7); g.Add(-2) }); a != 0 {
-		t.Fatalf("Gauge record path allocates %.1f per run, want 0", a)
-	}
-	if a := testing.AllocsPerRun(1000, func() { h.Record(125 * time.Microsecond) }); a != 0 {
-		t.Fatalf("Histogram record path allocates %.1f per run, want 0", a)
 	}
 }
 
@@ -34,37 +27,33 @@ func TestCounterGaugeValues(t *testing.T) {
 	if c.Value() != 6 {
 		t.Fatalf("counter = %d, want 6", c.Value())
 	}
-	g := r.Gauge("g", "", "")
-	g.Set(10)
-	g.Add(-3)
-	if g.Value() != 7 {
-		t.Fatalf("gauge = %d, want 7", g.Value())
-	}
 }
 
 // TestWritePrometheus checks the text exposition: HELP/TYPE once per
 // family, label sets rendered, the seconds unit convention applied, and
-// histograms expanded to summaries.
+// histograms rendered as summaries by WriteSummary.
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("datacell_frames_total", "frames accepted", Labels("stream", "s")).Add(41)
 	r.Counter("datacell_frames_total", "frames accepted", Labels("stream", "t")).Add(1)
 	r.Counter("datacell_busy_seconds_total", "busy time", "").Add(int64(1500 * time.Millisecond))
-	r.Gauge("datacell_queries", "registered queries", "").Set(3)
-	h := r.Histogram("datacell_latency_seconds", "ingest-to-emit", Labels("query", "q1"))
+	r.CounterFunc("datacell_events_total", "events", "", func() int64 { return 3 })
+	var h histo.H
 	for i := 0; i < 100; i++ {
 		h.Record(time.Millisecond)
 	}
 	var b strings.Builder
 	r.WritePrometheus(&b)
+	WriteFamilyHeader(&b, "datacell_latency_seconds", "ingest-to-emit", "summary")
+	WriteSummary(&b, "datacell_latency_seconds", Labels("query", "q1"), &h)
 	out := b.String()
 	for _, want := range []string{
 		"# TYPE datacell_frames_total counter",
 		`datacell_frames_total{stream="s"} 41`,
 		`datacell_frames_total{stream="t"} 1`,
 		"datacell_busy_seconds_total 1.5",
-		"# TYPE datacell_queries gauge",
-		"datacell_queries 3",
+		"# TYPE datacell_events_total counter",
+		"datacell_events_total 3",
 		"# TYPE datacell_latency_seconds summary",
 		`datacell_latency_seconds{query="q1",quantile="0.5"} 0.001`,
 		`datacell_latency_seconds_count{query="q1"} 100`,
@@ -76,39 +65,6 @@ func TestWritePrometheus(t *testing.T) {
 	}
 	if strings.Count(out, "# TYPE datacell_frames_total") != 1 {
 		t.Fatalf("TYPE emitted more than once per family:\n%s", out)
-	}
-}
-
-func TestUnregister(t *testing.T) {
-	r := NewRegistry()
-	keep := r.Counter("a_total", "", Labels("query", "keep"))
-	drop := r.Counter("a_total", "", Labels("query", "drop"))
-	h := r.Histogram("b_seconds", "", "")
-	keep.Add(1)
-	drop.Add(2)
-	r.Unregister(drop)
-	r.Unregister(h)
-	var b strings.Builder
-	r.WritePrometheus(&b)
-	out := b.String()
-	if !strings.Contains(out, `a_total{query="keep"} 1`) {
-		t.Fatalf("kept series missing:\n%s", out)
-	}
-	if strings.Contains(out, "drop") || strings.Contains(out, "b_seconds") {
-		t.Fatalf("unregistered series still exported:\n%s", out)
-	}
-}
-
-func TestSamplesSorted(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("z_total", "", "").Add(1)
-	r.Counter("a_total", "", "").Add(2)
-	s := r.Samples()
-	if len(s) != 2 || s[0].Name != "a_total" || s[1].Name != "z_total" {
-		t.Fatalf("samples not sorted: %+v", s)
-	}
-	if s[0].Value != 2 {
-		t.Fatalf("a_total = %v, want 2", s[0].Value)
 	}
 }
 
@@ -140,7 +96,7 @@ func TestTraceAddAllocs(t *testing.T) {
 	// The trace is control-plane rate, but a full ring must still append
 	// without growing: only the (amortised-zero) struct copy remains.
 	tr := NewTrace(8)
-	ev := Event{Subsystem: "adapt", Kind: "decide", Name: "s", Reason: "occupancy high"}
+	ev := Event{Subsystem: "engine", Kind: "rewire", Name: "s", Reason: "parallelism pinned to 2"}
 	for i := 0; i < 16; i++ {
 		tr.Add(ev)
 	}

@@ -6,7 +6,7 @@ import (
 )
 
 // Event is one entry of the engine's event trace: a rewire, a recovery
-// pass, a query registration, an adapt-controller verdict. Events are
+// pass, a query registration or removal. Events are
 // rare (control-plane rate, never tuple rate), so they carry readable
 // strings rather than interned ids.
 type Event struct {
@@ -15,21 +15,21 @@ type Event struct {
 	Seq uint64 `json:"seq"`
 	// Time is the engine-clock time the event was recorded.
 	Time time.Time `json:"time"`
-	// Subsystem names the emitting layer: engine, adapt, wal, ingest.
+	// Subsystem names the emitting layer: engine, wal.
 	Subsystem string `json:"subsystem"`
 	// Kind is the event type within the subsystem: rewire, register,
-	// remove, recover, decide, …
+	// remove, recover.
 	Kind string `json:"kind"`
 	// Name identifies the subject (stream or query name).
 	Name string `json:"name,omitempty"`
-	// Reason is the human explanation (rewire reasons, controller verdict
-	// reasons).
+	// Reason is the human explanation (rewire reasons, how a query was
+	// registered).
 	Reason string `json:"reason,omitempty"`
 	// Duration is how long the traced operation took, when it is an
 	// operation (rewires, recovery passes); zero for point events.
 	Duration time.Duration `json:"duration_ns,omitempty"`
-	// Fields carries preformatted key=value detail, e.g. a controller
-	// verdict's inputs.
+	// Fields carries preformatted key=value detail, e.g. the wiring a
+	// rewire installed.
 	Fields string `json:"fields,omitempty"`
 }
 

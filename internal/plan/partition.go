@@ -92,17 +92,6 @@ func (v Verdict) Describe() string {
 	return v.Mode.String()
 }
 
-// ClampP bounds a requested partition count by the verdict: a plan that
-// must see the whole stream runs at one partition no matter what the
-// engine parallelism or the adaptive controller asks for. It is the
-// plan-side clamp of the scale-up policy.
-func (v Verdict) ClampP(p int) int {
-	if v.Mode == PartNone || p < 1 {
-		return 1
-	}
-	return p
-}
-
 // CombineVerdicts folds the verdicts of all queries sharing one stream
 // split (the shared and partial wirings partition the stream once for
 // the whole group) into the group-wide routing verdict:

@@ -119,13 +119,10 @@ func (*DeclareStmt) stmt() {}
 
 // SetStmt assigns a session variable. In a continuous with-block the
 // assignment re-runs at every firing (the paper's incremental-aggregate
-// idiom). On, when set, scopes an engine pragma to one stream's query
-// group (`set parallelism = 4 on trades`); session variables never
-// carry it.
+// idiom).
 type SetStmt struct {
 	Name  string
 	Value expr.Expr
-	On    string
 }
 
 func (*SetStmt) stmt() {}

@@ -568,18 +568,7 @@ func (p *parser) setStmt() (*SetStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &SetStmt{Name: strings.ToLower(name), Value: e}
-	// Optional `on <stream>` suffix scopes an engine pragma to one
-	// stream's query group, e.g. `set parallelism = auto on trades`.
-	if t := p.peek(); t.Kind == TokIdent && strings.EqualFold(t.Text, "on") {
-		p.i++
-		on, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		s.On = on
-	}
-	return s, nil
+	return &SetStmt{Name: strings.ToLower(name), Value: e}, nil
 }
 
 func (p *parser) withBlock() (*WithBlock, error) {

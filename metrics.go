@@ -19,12 +19,10 @@ func (e *Engine) initObs() {
 	e.reg = obs.NewRegistry()
 	e.trace = obs.NewTrace(obs.DefaultTraceCap)
 	e.ev = engineCounters{
-		rewires:    e.reg.Counter("datacell_engine_rewires_total", "Query-group wiring rebuilds (registration, strategy/parallelism changes, controller decisions).", ""),
+		rewires:    e.reg.Counter("datacell_engine_rewires_total", "Query-group wiring rebuilds (registration, strategy/parallelism changes).", ""),
 		recoveries: e.reg.Counter("datacell_engine_recoveries_total", "WAL recovery passes completed.", ""),
 		registers:  e.reg.Counter("datacell_engine_query_registrations_total", "Continuous queries registered.", ""),
 		removes:    e.reg.Counter("datacell_engine_query_removals_total", "Continuous queries removed.", ""),
-		decisions:  e.reg.Counter("datacell_adapt_decisions_total", "Adaptive-parallelism controller verdicts computed.", ""),
-		applies:    e.reg.Counter("datacell_adapt_applies_total", "Controller verdicts that triggered a rewire.", ""),
 	}
 	e.reg.CounterFunc("datacell_engine_events_total", "Engine trace events recorded (retained or shed from the ring).", "",
 		func() int64 { return int64(e.trace.Total()) })
@@ -43,18 +41,12 @@ func (e *Engine) queryRegisteredLocked(name, how string) {
 }
 
 // Events returns the engine's retained trace events, oldest first: every
-// rewire with its reason and duration, every recovery pass, query
-// registration/removal and adapt-controller verdict since engine start
-// (bounded by the ring capacity; Snapshot.EventsTotal counts shed
-// history too).
+// rewire with its reason and duration, every recovery pass and every query
+// registration/removal since engine start (bounded by the ring capacity;
+// Snapshot.EventsTotal counts shed history too).
 func (e *Engine) Events() []obs.Event {
 	return e.trace.Events()
 }
-
-// Metrics returns the engine's metrics registry, for callers that want to
-// register their own series next to the engine's (rendered together by
-// WriteMetrics and the admin server's /metrics).
-func (e *Engine) Metrics() *obs.Registry { return e.reg }
 
 // WriteMetrics renders the engine's full metric surface in the Prometheus
 // text exposition format: the registry-owned event counters plus dynamic

@@ -37,7 +37,7 @@ func obsTestEngine(t *testing.T) *Engine {
 	if err := eng.RegisterQuery("flt", `select t.v from [select * from s] t where t.v < 50`); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Subscribe("flt", func(Table) {}); err != nil {
+	if _, err := eng.SubscribeQuery("flt", SubscribeOptions{OnEmit: func(Emit) {}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.SetParallelism(2); err != nil {
@@ -76,9 +76,9 @@ func obsTestEngine(t *testing.T) *Engine {
 }
 
 // TestWriteMetricsCoversSubsystems asserts the exposition covers all
-// seven instrumented subsystems: ingest, wal, basket, kernel (query),
-// merge, adapt and engine events — including the per-query latency
-// summary quantiles.
+// six instrumented subsystems: ingest, wal, basket, kernel (query),
+// merge and engine events — including the per-query latency summary
+// quantiles.
 func TestWriteMetricsCoversSubsystems(t *testing.T) {
 	eng := obsTestEngine(t)
 	var b strings.Builder
@@ -95,7 +95,6 @@ func TestWriteMetricsCoversSubsystems(t *testing.T) {
 		`datacell_merge_barrier_waits_total{query="agg"}`,
 		`datacell_query_latency_seconds{query="agg",quantile="0.99"}`,
 		`datacell_query_latency_seconds_count{query="flt"}`,
-		"datacell_adapt_decisions_total",
 		"datacell_engine_rewires_total",
 		"datacell_engine_events_total",
 		"datacell_engine_queries 2",
@@ -245,10 +244,10 @@ func TestAdminEndpoints(t *testing.T) {
 	_ = b
 }
 
-// TestSnapshotConsistentUnderChurn encodes snapshots while the adaptive
-// controller, strategy switches and appends churn the wiring: every
-// snapshot must be internally consistent (both queries present, valid
-// strategy, monotonic EventsTotal) and JSON-encodable.
+// TestSnapshotConsistentUnderChurn encodes snapshots while strategy and
+// parallelism switches and appends churn the wiring: every snapshot must
+// be internally consistent (both queries present, valid strategy and
+// parallelism, monotonic EventsTotal) and JSON-encodable.
 func TestSnapshotConsistentUnderChurn(t *testing.T) {
 	eng := New()
 	if _, err := eng.Exec(`create basket s (k int, v int)`); err != nil {
@@ -259,10 +258,6 @@ func TestSnapshotConsistentUnderChurn(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	eng.SetAdaptOptions(AdaptOptions{Tick: time.Millisecond})
-	if _, err := eng.Exec(`set parallelism = auto`); err != nil {
-		t.Fatal(err)
-	}
 	if err := eng.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +266,7 @@ func TestSnapshotConsistentUnderChurn(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() { // ingest load so the controller has something to chew on
+	go func() { // ingest load, so every rewire migrates tuples in flight
 		defer wg.Done()
 		rows := make([]Row, 64)
 		for i := range rows {
@@ -286,15 +281,17 @@ func TestSnapshotConsistentUnderChurn(t *testing.T) {
 			}
 		}
 	}()
-	go func() { // wiring churn beyond the controller's own rewires
+	go func() { // wiring churn: alternate strategy and parallelism switches
 		defer wg.Done()
 		strats := []Strategy{StrategyShared, StrategySeparate}
+		ps := []int{2, 1, 4}
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
 				return
 			default:
 				eng.SetStrategy(strats[i%len(strats)]) //nolint:errcheck
+				eng.SetParallelism(ps[i%len(ps)])      //nolint:errcheck
 				time.Sleep(2 * time.Millisecond)
 			}
 		}
@@ -311,6 +308,9 @@ func TestSnapshotConsistentUnderChurn(t *testing.T) {
 		case StrategySeparate, StrategyShared, StrategyPartial:
 		default:
 			t.Fatalf("snapshot %d: invalid strategy %q", i, s.Strategy)
+		}
+		if s.Parallelism < 1 || s.Parallelism > 4 {
+			t.Fatalf("snapshot %d: parallelism %d outside the churned range", i, s.Parallelism)
 		}
 		if s.EventsTotal < lastTotal {
 			t.Fatalf("snapshot %d: EventsTotal went backwards (%d < %d)", i, s.EventsTotal, lastTotal)

@@ -24,19 +24,6 @@ func WithParallelism(p int) Option {
 	return func(e *Engine) error { return e.SetParallelism(p) }
 }
 
-// WithParallelismAuto hands the partition count to the adaptive load
-// controller. Equivalent to SetParallelismAuto (pragma
-// `set parallelism = auto`).
-func WithParallelismAuto() Option {
-	return func(e *Engine) error { return e.SetParallelismAuto() }
-}
-
-// WithAdaptOptions tunes the adaptive-parallelism controller. Equivalent
-// to SetAdaptOptions.
-func WithAdaptOptions(o AdaptOptions) Option {
-	return func(e *Engine) error { e.SetAdaptOptions(o); return nil }
-}
-
 // WithClock replaces the engine clock (now(), arrival timestamps, emit
 // timestamps) for simulated-time runs and deterministic tests. Equivalent
 // to SetClock.

@@ -12,10 +12,11 @@ import (
 // between them). Engine.Snapshot gathers every section under a single
 // acquisition of the engine mutex.
 //
-// Field stability: fields are append-only — new sections may be added in
-// later versions, existing ones keep their names, types and meaning, so
-// callers (cmd/datacell, cmd/datacellbench, external monitors) can encode
-// a Snapshot and diff it across versions.
+// Field stability: new sections may be added in later versions, and
+// existing ones keep their names, types and meaning for as long as the
+// feature they describe exists, so callers (cmd/datacell,
+// cmd/datacellbench, external monitors) can encode a Snapshot and diff it
+// across versions.
 type Snapshot struct {
 	// At is the engine-clock capture time (WithClock-aware).
 	At time.Time
@@ -23,9 +24,8 @@ type Snapshot struct {
 	Started bool
 
 	// Engine-wide configuration at capture time.
-	Strategy        Strategy
-	Parallelism     int
-	AutoParallelism bool
+	Strategy    Strategy
+	Parallelism int
 	// WALDir is the open write-ahead-log root ("" when durability is off).
 	WALDir string
 
@@ -92,14 +92,13 @@ func (e *Engine) Snapshot() Snapshot {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	s := Snapshot{
-		At:              e.cat.Now(),
-		Started:         e.started,
-		Strategy:        e.strategy,
-		Parallelism:     e.parallelism,
-		AutoParallelism: e.autoParallel,
-		Queries:         e.statsLocked(),
-		Groups:          e.groupsLocked(),
-		Subscriptions:   e.subscriptionsLocked(),
+		At:            e.cat.Now(),
+		Started:       e.started,
+		Strategy:      e.strategy,
+		Parallelism:   e.parallelism,
+		Queries:       e.statsLocked(),
+		Groups:        e.groupsLocked(),
+		Subscriptions: e.subscriptionsLocked(),
 	}
 	if e.wal != nil {
 		s.WALDir = e.wal.opts.Dir

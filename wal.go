@@ -367,8 +367,8 @@ func (e *Engine) holdsTuplesLocked(streamName string) bool {
 }
 
 // Kill simulates abrupt process death, for crash-recovery testing: ingest
-// sockets close, the scheduler and sampler stop, and every WAL log drops
-// its buffered-unflushed records without a checkpoint — exactly the disk
+// sockets close, the scheduler stops, and every WAL log drops its
+// buffered-unflushed records without a checkpoint — exactly the disk
 // state a kill -9 leaves behind. Unlike Stop, nothing is flushed, synced
 // or checkpointed, so a restarted engine must Recover.
 func (e *Engine) Kill() {
@@ -385,17 +385,11 @@ func (e *Engine) Kill() {
 	}
 	touts := append([]*stream.TCPEmitter(nil), e.tcpOut...)
 	qes := e.subEmittersLocked()
-	stop, done := e.adaptStop, e.adaptDone
-	e.adaptStop, e.adaptDone = nil, nil
 	e.mu.Unlock()
 	// Crash the logs before the sockets close: a receptor mid-delivery
 	// must see the log refuse, not sneak in a post-mortem append.
 	for _, lg := range logs {
 		lg.Crash()
-	}
-	if stop != nil {
-		close(stop)
-		<-done
 	}
 	for _, l := range ins {
 		l.Close()
